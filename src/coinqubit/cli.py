@@ -10,12 +10,11 @@ error object on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
-from .errors import CoinQubitError
+from .errors import CoinQubitError, DomainError
 from .malevich import render_svg, triada_sides
 from .observables import CoinObservable, classical_means, quantum_mean
 from .states import (
@@ -27,6 +26,7 @@ from .states import (
     purity,
 )
 from .superposition import (
+    ORTHO_TOL,
     SuperpositionWeights,
     orthogonal_partner,
     superpose_general,
@@ -75,9 +75,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _load_json(path: str):
+    """Parsed JSON file; an unreadable or malformed file is a DomainError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DomainError(f"cannot read JSON file {path!r}: {exc}") from exc
+
+
 def _load_state_file(path: str) -> ProbabilityTriple:
-    with open(path, encoding="utf-8") as handle:
-        return ProbabilityTriple.from_json_dict(json.load(handle))
+    return ProbabilityTriple.from_json_dict(_load_json(path))
 
 
 def _state_from(args, prefix: str, path_flag: str) -> ProbabilityTriple:
@@ -220,12 +228,17 @@ def _cmd_superpose(args) -> None:
     general = superpose_general(p, q, w)
     oracle = superpose_oracle(p, q, w)
     paths = [general, oracle]
-    if fidelity(p, q) < 1e-9:
+    if fidelity(p, q) < ORTHO_TOL:
         paths.append(superpose_orthogonal(p, q, w))
         paths.append(superpose_spinor(p, q, w))
-    reference = oracle.state.vec()
+    ref = oracle.state
     agree = all(
-        abs(result.state.vec() - reference).max() < PATH_AGREE_TOL
+        max(
+            abs(result.state.p1 - ref.p1),
+            abs(result.state.p2 - ref.p2),
+            abs(result.state.p3 - ref.p3),
+        )
+        < PATH_AGREE_TOL
         for result in paths
     )
     _emit(
@@ -276,10 +289,14 @@ def _cmd_sample(args) -> None:
             raise _UsageError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from exc
+    if seed < 0:
+        raise _UsageError(f"the seed must be a nonnegative integer, got {seed}")
     if args.n < 1:
         raise _UsageError("--n must be a positive integer")
     report = run_experiment(p, args.n, seed)
     if args.flips:
+        import csv
+
         outcomes = sample_outcomes(p, args.n, seed)
         with open(args.flips, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -310,8 +327,7 @@ def _cmd_mean(args) -> None:
     if args.obs is not None:
         if any(v is not None for v in (args.x, args.y, args.z1, args.z2)):
             raise _UsageError("give either --obs or --x/--y/--z1/--z2, not both")
-        with open(args.obs, encoding="utf-8") as handle:
-            obs = CoinObservable.from_json_dict(json.load(handle))
+        obs = CoinObservable.from_json_dict(_load_json(args.obs))
     else:
         obs = CoinObservable(
             args.x or 0.0, args.y or 0.0, args.z1 or 0.0, args.z2 or 0.0

@@ -51,9 +51,10 @@ class MalevichTriada:
 def _side(a: float, b: float) -> float:
     radicand = 2.0 + 2.0 * a * a - 4.0 * a - 2.0 * b + 2.0 * b * b + 2.0 * a * b
     if radicand < 0.0:
-        assert radicand > -_RADICAND_CLAMP, (
-            f"side radicand {radicand} is negative beyond floating error"
-        )
+        if not radicand > -_RADICAND_CLAMP:
+            raise ArithmeticError(
+                f"side radicand {radicand} is negative beyond floating error"
+            )
         radicand = 0.0
     return math.sqrt(radicand)
 
@@ -80,8 +81,8 @@ def render_svg(
     white square is stroked black so it stays visible.  Squares of zero
     side are suppressed.  Identical inputs yield byte-identical output.
     """
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     sides = [side * scale for side in triada.sides()]
     gap = 0.25 * max(triada.sides()) * scale
     baseline = _MARGIN + max(sides)

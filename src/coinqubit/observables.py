@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .states import ProbabilityTriple, _require_quantum, prob_to_density
+
+# numpy is imported inside the functions that build arrays, so the
+# scalar API and the CLI start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 MEAN_IDENTITY_TOL = 1e-12
 
@@ -37,16 +41,22 @@ class CoinObservable:
 
     def matrix(self) -> np.ndarray:
         """Hermitian matrix [[z1, x - i y], [x + i y, z2]]."""
+        import numpy as np
+
         return np.array(
             [[self.z1, self.x - 1j * self.y], [self.x + 1j * self.y, self.z2]]
         )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoinObservable":
+        if not isinstance(data, dict):
+            raise DomainError("expected a JSON object with fields x, y, z1, z2")
         try:
             return cls(data["x"], data["y"], data["z1"], data["z2"])
         except KeyError as exc:
             raise DomainError(f"observable object is missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"observable fields must be numbers: {exc}") from exc
 
 
 def classical_means(
@@ -71,15 +81,18 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
     """Tr(rho H), computed by explicit matrix trace.
 
     The value always equals the sum of the three classical means; the
-    identity is asserted here so a drift between the two routes cannot go
+    identity is checked here so a drift between the two routes cannot go
     unnoticed.
     """
     _require_quantum(p)
+    import numpy as np
+
     rho = prob_to_density(p).as_array()
     trace = np.trace(rho @ obs.matrix())
     value = float(trace.real)
     classical_sum = sum(classical_means(obs, p))
-    assert abs(value - classical_sum) < MEAN_IDENTITY_TOL * (1.0 + abs(value)), (
-        f"matrix trace {value} and classical sum {classical_sum} disagree"
-    )
+    if not abs(value - classical_sum) < MEAN_IDENTITY_TOL * (1.0 + abs(value)):
+        raise ArithmeticError(
+            f"matrix trace {value} and classical sum {classical_sum} disagree"
+        )
     return value

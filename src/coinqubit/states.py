@@ -13,10 +13,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ClassicalStateError, DomainError, NotPureError
+
+# numpy is imported inside the functions that build arrays, so the
+# scalar API and the CLI start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Classification of a triple against the correlation ball uses a looser
 # tolerance than matrix-equality assertions: classification is a physical
@@ -74,6 +78,8 @@ class ProbabilityTriple:
         object.__setattr__(self, "p3", _unit_interval(self.p3, "p3"))
 
     def vec(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.p1, self.p2, self.p3])
 
     @property
@@ -105,12 +111,14 @@ class ProbabilityTriple:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProbabilityTriple":
-        if data.get("kind") != "coin-state":
+        if not isinstance(data, dict) or data.get("kind") != "coin-state":
             raise DomainError("expected a JSON object with kind 'coin-state'")
         try:
             return cls(data["p1"], data["p2"], data["p3"])
         except KeyError as exc:
             raise DomainError(f"coin-state object is missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"coin-state fields must be numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -155,12 +163,16 @@ class DensityMatrix2:
         return 0.5 + half, 0.5 - half
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[self.rho00, self.rho01], [self.rho10, self.rho11]], dtype=complex
         )
 
     @classmethod
     def from_array(cls, matrix: np.ndarray) -> "DensityMatrix2":
+        import numpy as np
+
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
@@ -200,6 +212,8 @@ class Spinor2:
         object.__setattr__(self, "phase", _wrap_phase(float(self.phase)))
 
     def as_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [self.amplitude0, self.amplitude1 * cmath.exp(1j * self.phase)]
         )

@@ -22,8 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegeneratePhaseStateError,
@@ -40,6 +39,11 @@ from .states import (
     fidelity,
     prob_to_spinor,
 )
+
+# numpy is imported inside the functions that build arrays, so the
+# scalar API and the CLI start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 ORTHO_TOL = 1e-9
 ANNIHILATION_TOL = 1e-12
@@ -105,6 +109,8 @@ def _as_weights(w) -> SuperpositionWeights:
 
 def _projector(p: ProbabilityTriple) -> tuple[np.ndarray, np.ndarray]:
     """Spinor vector and its projector matrix for a pure triple."""
+    import numpy as np
+
     v = prob_to_spinor(p).as_vector()
     return v, np.outer(v, v.conj())
 
@@ -120,6 +126,8 @@ def superpose_oracle(
     w = _as_weights(w)
     _require_pure(p, "first state")
     _require_pure(q, "second state")
+    import numpy as np
+
     v1 = prob_to_spinor(p).as_vector()
     v2 = prob_to_spinor(q).as_vector()
     chi = w.c1 * v1 + w.c2 * v2
@@ -226,6 +234,8 @@ def assemble_projector_sum(
     _require_pure(p, "first state")
     _require_pure(q, "second state")
     _require_orthogonal(p, q)
+    import numpy as np
+
     v1, m1 = _projector(p)
     v2, m2 = _projector(q)
     if rho0 is None:
@@ -280,6 +290,8 @@ def delta_decomposition(
     _require_pure(p, "first state")
     _require_pure(q, "second state")
     _require_orthogonal(p, q)
+    import numpy as np
+
     v1, m1 = _projector(p)
     v2, m2 = _projector(q)
     if rho0 is None:
@@ -323,6 +335,8 @@ def superpose_spinor(
     bottom = cmath.exp(1j * beta) * math.sqrt(
         pi3 * (1.0 - p.p3)
     ) + cmath.exp(1j * (delta + mu)) * math.sqrt((1.0 - pi3) * (1.0 - q.p3))
+    import numpy as np
+
     psi = np.array([top, bottom])
     norm2 = float(np.vdot(psi, psi).real)
     if norm2 <= ANNIHILATION_TOL:

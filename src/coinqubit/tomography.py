@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InsufficientDataError
 from .states import (
@@ -26,6 +24,11 @@ from .states import (
     _require_quantum,
     prob_to_density,
 )
+
+# numpy is imported inside the functions that build arrays, so the
+# scalar API and the CLI start without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 AXES = ("x", "y", "z")
 OUTCOMES = ("up", "down")
@@ -67,6 +70,8 @@ class EstimateReport:
 
 
 def _axis_rng(seed: int, axis_index: int) -> np.random.Generator:
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(axis_index,))
     return np.random.Generator(np.random.PCG64(seq))
 

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -18,6 +21,7 @@ from coinqubit import (
 from coinqubit.cli import main
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +55,49 @@ class TestCheck:
             "--state", str(path),
         )
         assert code == 1 and "not both" in err
+
+
+BAD_FILE_CONTENTS = {
+    "empty": "",
+    "not-json": "p1=0.5",
+    "list": "[0.5, 0.5, 0.5]",
+    "deeply-nested": "[" * 100_000,
+    "string-field": json.dumps(
+        {"kind": "coin-state", "p1": "abc", "p2": 0.5, "p3": 0.5,
+         "x": "abc", "y": 0, "z1": 0, "z2": 0}
+    ),
+    "null-field": json.dumps(
+        {"kind": "coin-state", "p1": None, "p2": 0.5, "p3": 0.5,
+         "x": None, "y": 0, "z1": 0, "z2": 0}
+    ),
+    "huge-int-field": json.dumps(
+        {"kind": "coin-state", "p1": 10 ** 400, "p2": 0.5, "p3": 0.5,
+         "x": 10 ** 400, "y": 0, "z1": 0, "z2": 0}
+    ),
+}
+
+
+class TestBadFiles:
+    """Unreadable or malformed JSON files end in exit 2 with an error object."""
+
+    @pytest.mark.parametrize("flag", ["--state", "--obs"])
+    @pytest.mark.parametrize("case", ["missing", "directory", *BAD_FILE_CONTENTS])
+    def test_exit_2_with_error_object(self, capsys, tmp_path, flag, case):
+        path = tmp_path / "input.json"
+        if case == "directory":
+            path.mkdir()
+        elif case != "missing":
+            path.write_text(BAD_FILE_CONTENTS[case])
+        if flag == "--state":
+            argv = ["check", "--state", str(path)]
+        else:
+            argv = ["mean", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
+                    "--obs", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "domain"
+        assert error["message"]
 
 
 class TestScalars:
@@ -198,6 +245,16 @@ class TestRender:
         )
         assert code == 1 and "scale" in err
 
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_non_finite_scale_is_usage_error(self, capsys, scale):
+        code, out, err = run_cli(
+            capsys,
+            "render",
+            "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
+            "--scale", scale,
+        )
+        assert code == 1 and out == "" and "scale" in err
+
 
 class TestSample:
     def test_matches_library(self, capsys):
@@ -227,6 +284,13 @@ class TestSample:
             "--n", "100",
         )
         assert code == 1 and "seed" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--p1", "0.7", "--p2", "0.5", "--p3", "0.5",
+            "--n", "100", "--seed", "-1",
+        )
+        assert code == 1 and out == "" and "seed" in err
 
     def test_flips_csv(self, capsys, tmp_path):
         path = tmp_path / "flips.csv"
@@ -291,3 +355,42 @@ class TestDispatch:
         )
         expected = ProbabilityTriple(value, 0.5, 0.5).radius2
         assert payload["radius2"] == expected
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import coinqubit, coinqubit.cli
+from coinqubit.cli import main
+
+state = ["--p1", "1", "--p2", "0.5", "--p3", "0.5"]
+scalar_argvs = [
+    ["check", *state],
+    ["purity", *state],
+    ["fidelity", *state, "--q1", "0", "--q2", "0.5", "--q3", "0.5"],
+    ["convert", *state, "--to", "density"],
+    ["convert", *state, "--to", "spinor"],
+    ["convert", *state, "--to", "complex"],
+    ["partner", *state],
+    ["triada", *state],
+    ["render", *state, "--labels"],
+]
+loaded = {"import": "numpy" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in scalar_argvs:
+        assert main(argv) == 0, argv
+    loaded["scalar"] = "numpy" in sys.modules
+    assert main(["sample", *state, "--n", "10", "--seed", "1"]) == 0
+loaded["sample"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_where_arrays_are_built():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "import": False, "scalar": False, "sample": True,
+    }

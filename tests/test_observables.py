@@ -63,6 +63,17 @@ def test_quantum_mean_rejects_classical():
         quantum_mean(CoinObservable(1, 0, 0, 0), ProbabilityTriple(1, 1, 1))
 
 
+def test_quantum_mean_checks_identity_without_assert(monkeypatch):
+    """The trace/classical-sum check is an explicit raise, so it survives -O."""
+    import coinqubit.observables as observables
+
+    monkeypatch.setattr(
+        observables, "classical_means", lambda obs, p: (1.0, 0.0, 0.0)
+    )
+    with pytest.raises(ArithmeticError, match="disagree"):
+        quantum_mean(CoinObservable(0, 0, 0, 0), ProbabilityTriple(0.5, 0.5, 0.5))
+
+
 def test_mean_identity_random(rng):
     for _ in range(1000):
         p = random_quantum(rng)
