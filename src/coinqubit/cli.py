@@ -34,7 +34,7 @@ from .superposition import (
     superpose_orthogonal,
     superpose_spinor,
 )
-from .tomography import AXES, reconstruct, run_experiment, sample_outcomes
+from .tomography import AXES, _fold, _up_chunks, reconstruct, run_experiment
 
 SEED_ENV_VAR = "COIN_QUBIT_SEED"
 PATH_AGREE_TOL = 1e-9
@@ -82,6 +82,14 @@ def _load_json(path: str):
             return json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read JSON file {path!r}: {exc}") from exc
+
+
+def _open_output(path: str, newline: str | None = None):
+    """Text file opened for writing; an unwritable path is a DomainError."""
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write file {path!r}: {exc}") from exc
 
 
 def _load_state_file(path: str) -> ProbabilityTriple:
@@ -268,7 +276,7 @@ def _cmd_render(args) -> None:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _open_output(args.out) as handle:
             handle.write(svg)
     else:
         sys.stdout.write(svg)
@@ -293,25 +301,26 @@ def _cmd_sample(args) -> None:
         raise _UsageError(f"the seed must be a nonnegative integer, got {seed}")
     if args.n < 1:
         raise _UsageError("--n must be a positive integer")
-    report = run_experiment(p, args.n, seed)
     if args.flips:
-        import csv
-
-        outcomes = sample_outcomes(p, args.n, seed)
-        with open(args.flips, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["trial", "axis", "outcome"])
-            for axis in AXES:
-                for trial, up in enumerate(outcomes[axis]):
-                    writer.writerow([trial, axis, "up" if up else "down"])
+        chunks = _up_chunks(p, args.n, seed)  # checks p before the file exists
+        ups = [0, 0, 0]
+        with _open_output(args.flips, newline="") as handle:
+            handle.write("trial,axis,outcome\r\n")
+            for i, start, up in chunks:
+                ups[i] += int(up.sum())
+                ends = (f",{AXES[i]},down\r\n", f",{AXES[i]},up\r\n")
+                handle.write(
+                    "".join(f"{t}{ends[u]}" for t, u in enumerate(up.tolist(), start))
+                )
+        report = _fold(ups, (args.n,) * 3, seed)
+    else:
+        report = run_experiment(p, args.n, seed)
     rho, verdict = reconstruct(report)
     _emit(
         {
             "p_hat": report.p_hat.to_json_dict(),
-            "counts": {axis: n for axis, n in zip(AXES, report.counts)},
-            "std_errors": {
-                axis: err for axis, err in zip(AXES, report.std_errors)
-            },
+            "counts": dict(zip(AXES, report.counts)),
+            "std_errors": dict(zip(AXES, report.std_errors)),
             "seed": report.seed,
             "reconstruction": {
                 "matrix": _matrix_json(rho),

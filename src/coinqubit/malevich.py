@@ -89,6 +89,9 @@ def render_svg(
     content_width = sum(sides) + 2.0 * gap
     width = content_width + 2.0 * _MARGIN
     height = baseline + (22.0 if labels else 0.0) + _MARGIN
+    # Every x lies in [0, width] and every y in [0, height].
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"scale {scale!r} overflows the SVG coordinates")
 
     body = []
     x = _MARGIN

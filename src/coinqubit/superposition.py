@@ -107,14 +107,6 @@ def _as_weights(w) -> SuperpositionWeights:
     return SuperpositionWeights(w)
 
 
-def _projector(p: ProbabilityTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Spinor vector and its projector matrix for a pure triple."""
-    import numpy as np
-
-    v = prob_to_spinor(p).as_vector()
-    return v, np.outer(v, v.conj())
-
-
 def superpose_oracle(
     p: ProbabilityTriple, q: ProbabilityTriple, w
 ) -> SuperpositionResult:
@@ -230,14 +222,22 @@ def assemble_projector_sum(
     rho0 overrides that choice; the degenerate case where rho0 is orthogonal
     to an input (vanishing trace factor) is then an error.
     """
-    w = _as_weights(w)
+    return _projector_sum(p, q, _as_weights(w), rho0)[0]
+
+
+def _projector_sum(
+    p: ProbabilityTriple, q: ProbabilityTriple, w: SuperpositionWeights,
+    rho0: DensityMatrix2 | None,
+) -> tuple[np.ndarray, float]:
+    """Projector-rule matrix and its trace factor Tr(rho1 rho0 rho2 rho0)."""
     _require_pure(p, "first state")
     _require_pure(q, "second state")
     _require_orthogonal(p, q)
     import numpy as np
 
-    v1, m1 = _projector(p)
-    v2, m2 = _projector(q)
+    v1 = prob_to_spinor(p).as_vector()
+    v2 = prob_to_spinor(q).as_vector()
+    m1, m2 = np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
     if rho0 is None:
         psi0 = (v1 + cmath.exp(1j * w.alpha) * v2) / math.sqrt(2.0)
         m0 = np.outer(psi0, psi0.conj())
@@ -250,9 +250,8 @@ def assemble_projector_sum(
             "is orthogonal to one of the input states"
         )
     cross = (m1 @ m0 @ m2 + m2 @ m0 @ m1) / math.sqrt(trace_factor)
-    return w.lambda1 * m1 + w.lambda2 * m2 + math.sqrt(
-        w.lambda1 * w.lambda2
-    ) * cross
+    root = math.sqrt(w.lambda1 * w.lambda2)
+    return w.lambda1 * m1 + w.lambda2 * m2 + root * cross, trace_factor
 
 
 def superpose_orthogonal(
@@ -287,27 +286,10 @@ def delta_decomposition(
         raise DomainError(
             "delta is undefined for pure weights (lambda1 * lambda2 = 0)"
         )
-    _require_pure(p, "first state")
-    _require_pure(q, "second state")
-    _require_orthogonal(p, q)
-    import numpy as np
-
-    v1, m1 = _projector(p)
-    v2, m2 = _projector(q)
-    if rho0 is None:
-        psi0 = (v1 + cmath.exp(1j * w.alpha) * v2) / math.sqrt(2.0)
-        m0 = np.outer(psi0, psi0.conj())
-    else:
-        m0 = rho0.as_array()
-    trace_factor = float(np.trace(m1 @ m0 @ m2 @ m0).real)
-    if trace_factor <= PHASE_TRACE_TOL:
-        raise DegeneratePhaseStateError(
-            "Tr(rho1 rho0 rho2 rho0) vanishes: the phase-defining projector "
-            "is orthogonal to one of the input states"
-        )
-    result = superpose_orthogonal(p, q, w, rho0)
+    matrix, trace_factor = _projector_sum(p, q, w, rho0)
+    out = density_to_prob(DensityMatrix2.from_array(matrix))
     linear = w.lambda1 * p.vec() + w.lambda2 * q.vec()
-    delta = (result.state.vec() - linear) / math.sqrt(w.lambda1 * w.lambda2)
+    delta = (out.vec() - linear) / math.sqrt(w.lambda1 * w.lambda2)
     return linear, delta, trace_factor ** -0.5
 
 

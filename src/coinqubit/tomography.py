@@ -8,7 +8,9 @@ projected away.
 
 Randomness comes from numpy's PCG64 seeded through a SeedSequence built
 from (seed, axis index), so the three per-axis streams are independent and
-every run is reproducible from the single 64-bit seed.
+every run is reproducible from the single 64-bit seed.  Each stream is
+drawn in fixed chunks, which give the same bits as one draw, so memory does
+not grow with the number of flips.
 """
 
 from __future__ import annotations
@@ -62,11 +64,8 @@ class EstimateReport:
     std_errors: tuple[float, float, float]
     seed: int | None
 
-    def __post_init__(self) -> None:
-        if any(n < 1 for n in self.counts):
-            raise InsufficientDataError(
-                f"need at least one flip per axis, got counts {self.counts}"
-            )
+
+_CHUNK = 1 << 16  # draws per chunk: 512 KiB of float64
 
 
 def _axis_rng(seed: int, axis_index: int) -> np.random.Generator:
@@ -76,27 +75,56 @@ def _axis_rng(seed: int, axis_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _up_chunks(
+    p: ProbabilityTriple, n_per_axis: int, seed: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(axis index, first trial, "up" booleans) per chunk, axis-major.
+
+    The inputs are checked on the call, the draws made as chunks are read.
+    """
+    _require_quantum(p, "target state")
+    if n_per_axis < 1:
+        raise ValueError(f"n_per_axis must be positive, got {n_per_axis}")
+
+    def chunks():
+        for i, prob in enumerate((p.p1, p.p2, p.p3)):
+            rng = _axis_rng(seed, i)
+            for start in range(0, n_per_axis, _CHUNK):
+                yield i, start, rng.random(min(_CHUNK, n_per_axis - start)) < prob
+
+    return chunks()
+
+
+def _fold(ups, totals, seed: int | None) -> EstimateReport:
+    """Per-axis up counts and flip totals to frequencies with error bars."""
+    missing = [axis for axis, total in zip(AXES, totals) if total == 0]
+    if missing:
+        raise InsufficientDataError(f"no flips recorded for axis/axes {missing}")
+    p_hat = [up / total for up, total in zip(ups, totals)]
+    errors = tuple(math.sqrt(v * (1.0 - v) / n) for v, n in zip(p_hat, totals))
+    return EstimateReport(ProbabilityTriple(*p_hat), tuple(totals), errors, seed)
+
+
 def sample_outcomes(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> dict[str, np.ndarray]:
     """Boolean "up" arrays per axis; the vectorized core of the simulator."""
-    _require_quantum(p, "target state")
-    if n_per_axis < 1:
-        raise ValueError(f"n_per_axis must be positive, got {n_per_axis}")
-    probs = (p.p1, p.p2, p.p3)
-    return {
-        axis: _axis_rng(seed, i).random(n_per_axis) < probs[i]
-        for i, axis in enumerate(AXES)
-    }
+    chunks = _up_chunks(p, n_per_axis, seed)
+    import numpy as np
+
+    parts = ([], [], [])
+    for i, _, up in chunks:
+        parts[i].append(up)
+    return {axis: np.concatenate(part) for axis, part in zip(AXES, parts)}
 
 
 def sample_flips(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> Iterator[FlipRecord]:
     """Yield flips axis-major: all x trials, then y, then z."""
-    outcomes = sample_outcomes(p, n_per_axis, seed)
-    for axis in AXES:
-        for trial, up in enumerate(outcomes[axis]):
+    for i, start, chunk in _up_chunks(p, n_per_axis, seed):
+        axis = AXES[i]
+        for trial, up in enumerate(chunk.tolist(), start):
             yield FlipRecord(axis, "up" if up else "down", trial)
 
 
@@ -110,40 +138,17 @@ def estimate(
         totals[record.axis] += 1
         if record.outcome == "up":
             ups[record.axis] += 1
-    missing = [axis for axis in AXES if totals[axis] == 0]
-    if missing:
-        raise InsufficientDataError(
-            f"no flips recorded for axis/axes {missing}"
-        )
-    p_hat = tuple(ups[axis] / totals[axis] for axis in AXES)
-    errors = tuple(
-        math.sqrt(p_hat[i] * (1.0 - p_hat[i]) / totals[axis])
-        for i, axis in enumerate(AXES)
-    )
-    return EstimateReport(
-        p_hat=ProbabilityTriple(*p_hat),
-        counts=tuple(totals[axis] for axis in AXES),
-        std_errors=errors,
-        seed=seed,
-    )
+    return _fold(ups.values(), totals.values(), seed)
 
 
 def run_experiment(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> EstimateReport:
-    """Sample and estimate in one vectorized pass."""
-    outcomes = sample_outcomes(p, n_per_axis, seed)
-    ups = {axis: int(outcomes[axis].sum()) for axis in AXES}
-    p_hat = tuple(ups[axis] / n_per_axis for axis in AXES)
-    errors = tuple(
-        math.sqrt(value * (1.0 - value) / n_per_axis) for value in p_hat
-    )
-    return EstimateReport(
-        p_hat=ProbabilityTriple(*p_hat),
-        counts=(n_per_axis,) * 3,
-        std_errors=errors,
-        seed=seed,
-    )
+    """Sample and estimate in one pass, one chunk in memory at a time."""
+    ups = [0, 0, 0]
+    for i, _, up in _up_chunks(p, n_per_axis, seed):
+        ups[i] += int(up.sum())
+    return _fold(ups, (n_per_axis,) * 3, seed)
 
 
 def reconstruct(report: EstimateReport) -> tuple[DensityMatrix2, str]:

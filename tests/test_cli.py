@@ -78,7 +78,8 @@ BAD_FILE_CONTENTS = {
 
 
 class TestBadFiles:
-    """Unreadable or malformed JSON files end in exit 2 with an error object."""
+    """Unreadable or malformed JSON files and unwritable output files end
+    in exit 2 with an error object."""
 
     @pytest.mark.parametrize("flag", ["--state", "--obs"])
     @pytest.mark.parametrize("case", ["missing", "directory", *BAD_FILE_CONTENTS])
@@ -98,6 +99,18 @@ class TestBadFiles:
         error = json.loads(err)["error"]
         assert error["code"] == "domain"
         assert error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5", "--out"],
+        ["sample", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
+         "--n", "3", "--seed", "1", "--flips"],
+    ], ids=["render-out", "sample-flips"])
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing-dir" / "output"
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "domain"
+        assert not path.parent.exists()
 
 
 class TestScalars:
@@ -245,7 +258,7 @@ class TestRender:
         )
         assert code == 1 and "scale" in err
 
-    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    @pytest.mark.parametrize("scale", ["inf", "nan", "1e308"])
     def test_non_finite_scale_is_usage_error(self, capsys, scale):
         code, out, err = run_cli(
             capsys,
@@ -306,6 +319,15 @@ class TestSample:
         assert len(rows) == 16
         z_rows = [row for row in rows[1:] if row[1] == "z"]
         assert all(row[2] == "up" for row in z_rows)
+
+    def test_classical_target_writes_no_flips_file(self, capsys, tmp_path):
+        path = tmp_path / "flips.csv"
+        code, out, err = run_cli(
+            capsys, "sample", "--p1", "1", "--p2", "1", "--p3", "1",
+            "--n", "5", "--seed", "1", "--flips", str(path),
+        )
+        assert code == 2 and out == "" and not path.exists()
+        assert json.loads(err)["error"]["code"] == "classical-state"
 
 
 class TestMean:

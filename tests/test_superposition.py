@@ -328,16 +328,13 @@ class TestPrintedDeltaFormulas:
         )
 
     def test_literal_transcription_disagrees_with_matrix_trace(self, rng):
-        from coinqubit.superposition import _projector
-
         worst = 0.0
         for _ in range(200):
             p = random_pure(rng)
             q = orthogonal_partner(p)
             wt = random_pure(rng, z_margin=0.05)
-            _, m1 = _projector(p)
-            _, m2 = _projector(q)
-            _, m0 = _projector(wt)
+            # the density matrix of a pure triple is its projector
+            m1, m2, m0 = (prob_to_density(t).as_array() for t in (p, q, wt))
             true_trace = float(np.trace(m1 @ m0 @ m2 @ m0).real)
             literal = self._literal_trace_braces(p, q, wt)
             worst = max(worst, abs(literal - true_trace))

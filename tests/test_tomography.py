@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from coinqubit import (
     sample_flips,
     sample_outcomes,
 )
+from coinqubit.cli import main
+from coinqubit.tomography import _CHUNK, _axis_rng
 
 PURE_TARGET = ProbabilityTriple(
     0.5 + 0.4 * math.cos(0.7), 0.5 + 0.4 * math.sin(0.7), 0.8
@@ -55,6 +59,42 @@ class TestSampling:
         flips = list(sample_flips(ProbabilityTriple(0.5, 0.5, 0.5), 3, 0))
         assert [f.axis for f in flips] == ["x"] * 3 + ["y"] * 3 + ["z"] * 3
         assert [f.trial for f in flips] == [0, 1, 2] * 3
+
+
+class TestChunkedDraw:
+    """The chunked draw reproduces one draw per axis, in bounded memory."""
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_outcomes_equal_a_single_draw(self, n):
+        outcomes = sample_outcomes(PURE_TARGET, n, 77)
+        probs = (PURE_TARGET.p1, PURE_TARGET.p2, PURE_TARGET.p3)
+        for i, axis in enumerate("xyz"):
+            expected = _axis_rng(77, i).random(n) < probs[i]
+            np.testing.assert_array_equal(outcomes[axis], expected)
+
+    def test_flips_csv_holds_the_sample_flips_stream(self, capsys, tmp_path):
+        n, seed = _CHUNK + 1, 5
+        path = tmp_path / "flips.csv"
+        argv = ["sample", "--p1", "0.6", "--p2", "0.5", "--p3", "0.7",
+                "--n", str(n), "--seed", str(seed), "--flips", str(path)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        p = ProbabilityTriple(0.6, 0.5, 0.7)
+        rows = "".join(
+            f"{f.trial},{f.axis},{f.outcome}\r\n" for f in sample_flips(p, n, seed)
+        )
+        assert path.read_bytes() == ("trial,axis,outcome\r\n" + rows).encode()
+        assert payload["p_hat"] == run_experiment(p, n, seed).p_hat.to_json_dict()
+
+    def test_run_experiment_memory_is_bounded(self):
+        run_experiment(PURE_TARGET, 10, 0)  # import numpy before tracing
+        tracemalloc.start()
+        try:
+            run_experiment(PURE_TARGET, 10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestEstimate:
