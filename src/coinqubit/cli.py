@@ -10,6 +10,7 @@ error object on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -84,10 +85,13 @@ def _load_json(path: str):
         raise DomainError(f"cannot read JSON file {path!r}: {exc}") from exc
 
 
+@contextlib.contextmanager
 def _open_output(path: str, newline: str | None = None):
-    """Text file opened for writing; an unwritable path is a DomainError."""
+    """Text file open for writing in a with block; an OSError from the open,
+    a write or the close is a DomainError."""
     try:
-        return open(path, "w", newline=newline, encoding="utf-8")
+        with open(path, "w", newline=newline, encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise DomainError(f"cannot write file {path!r}: {exc}") from exc
 

@@ -82,15 +82,21 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
 
     The value always equals the sum of the three classical means; the
     identity is checked here so a drift between the two routes cannot go
-    unnoticed.
+    unnoticed.  Finite coefficients near the float maximum can overflow
+    either route; that is a DomainError, since no finite mean can be
+    returned.
     """
     _require_quantum(p)
+    classical_sum = sum(classical_means(obs, p))
+    if not math.isfinite(classical_sum):
+        raise DomainError(f"mean overflows: classical sum {classical_sum}")
     import numpy as np
 
     rho = prob_to_density(p).as_array()
     trace = np.trace(rho @ obs.matrix())
     value = float(trace.real)
-    classical_sum = sum(classical_means(obs, p))
+    if not math.isfinite(value):
+        raise DomainError(f"mean overflows: matrix trace {value}")
     if not abs(value - classical_sum) < MEAN_IDENTITY_TOL * (1.0 + abs(value)):
         raise ArithmeticError(
             f"matrix trace {value} and classical sum {classical_sum} disagree"

@@ -16,6 +16,7 @@ not grow with the number of flips.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -36,23 +37,28 @@ AXES = ("x", "y", "z")
 OUTCOMES = ("up", "down")
 
 
-@dataclass(frozen=True)
-class FlipRecord:
-    """One coin flip: which axis, which face, which trial."""
+class FlipRecord(namedtuple("FlipRecord", "axis outcome trial")):
+    """One coin flip: which axis, which face, which trial.
 
-    axis: str
-    outcome: str
-    trial: int
+    An immutable named tuple, so a record also equals the plain tuple
+    ``(axis, outcome, trial)`` and unpacks like one.  The constructor, and
+    ``_make``/``_replace``, which go through it, check every field.
+    """
 
-    def __post_init__(self) -> None:
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if self.outcome not in OUTCOMES:
-            raise ValueError(
-                f"outcome must be one of {OUTCOMES}, got {self.outcome!r}"
-            )
-        if self.trial < 0:
-            raise ValueError(f"trial index must be nonnegative, got {self.trial}")
+    __slots__ = ()
+
+    def __new__(cls, axis: str, outcome: str, trial: int) -> FlipRecord:
+        if axis not in AXES:
+            raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+        if outcome not in OUTCOMES:
+            raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
+        if trial < 0:
+            raise ValueError(f"trial index must be nonnegative, got {trial}")
+        return tuple.__new__(cls, (axis, outcome, trial))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> FlipRecord:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,8 @@ def sample_flips(
     for i, start, chunk in _up_chunks(p, n_per_axis, seed):
         axis = AXES[i]
         for trial, up in enumerate(chunk.tolist(), start):
-            yield FlipRecord(axis, "up" if up else "down", trial)
+            # valid by construction, so FlipRecord's checks are skipped
+            yield tuple.__new__(FlipRecord, (axis, "up" if up else "down", trial))
 
 
 def estimate(

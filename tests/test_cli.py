@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coinqubit import (
     ProbabilityTriple,
@@ -111,6 +115,18 @@ class TestBadFiles:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "domain"
         assert not path.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
+         "--n", "3", "--seed", "1", "--flips", "/dev/full"],
+        ["render", "--p1", "1", "--p2", "0.5", "--p3", "0.5", "--out", "/dev/full"],
+    ], ids=["sample-flips", "render-out"])
+    def test_failed_write(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "domain" and "/dev/full" in error["message"]
 
 
 class TestScalars:
@@ -352,6 +368,14 @@ class TestMean:
         )
         assert payload["mean"] == pytest.approx(1.0)
 
+    def test_overflowing_mean_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mean", "--p1", "0.85", "--p2", "0.85", "--p3", "0.5",
+            "--x", "1.7e308", "--y", "1.7e308",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "domain"
+
 
 class TestDispatch:
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -377,6 +401,128 @@ class TestDispatch:
         )
         expected = ProbabilityTriple(value, 0.5, 0.5).radius2
         assert payload["radius2"] == expected
+
+
+# --------------------------------------------------------------- CLI fuzzing
+
+STATE_SLOTS = {  # subcommand -> (flag prefix, file flag) per state it takes
+    "check": [("p", "state")],
+    "purity": [("p", "state")],
+    "fidelity": [("p", "state1"), ("q", "state2")],
+    "convert": [("p", "state")],
+    "superpose": [("p", "state1"), ("q", "state2"), ("w", "weights")],
+    "partner": [("p", "state")],
+    "triada": [("p", "state")],
+    "render": [("p", "state")],
+    "sample": [("p", "state")],
+    "mean": [("p", "state")],
+}
+EXTREMES = [0.0, -0.0, 0.5, 1.0, 1e-13, 1 - 1e-13, 1e308, -1e308,
+            1.7976931348623157e308, math.inf, -math.inf, math.nan]
+POLES = [(0.5, 0.5, 1.0), (0.5, 0.5, 0.0), (1.0, 0.5, 0.5), (0.5, 0.0, 0.5)]
+
+
+def _pure(theta: float, phi: float) -> tuple[float, float, float]:
+    r = math.sin(theta) / 2.0
+    return 0.5 + r * math.cos(phi), 0.5 + r * math.sin(phi), 0.5 + math.cos(theta) / 2
+
+
+numbers = st.one_of(st.floats(0, 1), st.sampled_from(EXTREMES), st.floats())
+triples = st.one_of(
+    st.tuples(numbers, numbers, numbers),
+    st.builds(_pure, st.floats(0, math.pi), st.floats(0, 2 * math.pi)),
+    st.sampled_from(POLES),
+)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=4))
+file_contents = st.one_of(
+    triples.map(lambda t: json.dumps(
+        {"kind": "coin-state", "p1": t[0], "p2": t[1], "p3": t[2]})),
+    st.tuples(numbers, numbers, numbers, numbers).map(
+        lambda v: json.dumps(dict(zip(("x", "y", "z1", "z2"), v)))),
+    st.dictionaries(
+        st.sampled_from(["kind", "p1", "p2", "p3", "x", "y", "z1", "z2"]), json_scalars
+    ).map(json.dumps),
+    st.lists(json_scalars, max_size=4).map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def cli_runs(draw, workdir):
+    """An argv for a random subcommand plus the input files it names."""
+    sub = draw(st.sampled_from(sorted(STATE_SLOTS)))
+    argv, files = [sub], {}
+
+    def maybe(flag, values):  # give the flag three times in four
+        if draw(st.integers(0, 3)):
+            argv.append(f"--{flag}={draw(values)}")
+
+    for prefix, file_flag in STATE_SLOTS[sub]:
+        if draw(st.integers(0, 3)) == 0:
+            path = workdir / f"{file_flag}.json"
+            files[path] = draw(file_contents)
+            argv.append(f"--{file_flag}={path}")
+        else:
+            for i, value in enumerate(draw(triples), 1):
+                if draw(st.integers(0, 19)):  # now and then leave a flag out
+                    argv.append(f"--{prefix}{i}={value!r}")
+    outputs = st.sampled_from([
+        str(workdir / "output"), str(workdir), str(workdir / "missing" / "output"),
+        *(["/dev/full"] if os.path.exists("/dev/full") else []),
+    ])
+    if sub == "convert":
+        maybe("to", st.sampled_from(["density", "spinor", "complex", "matrix"]))
+    elif sub == "partner":
+        maybe("sign", st.sampled_from(["+", "-", "0"]))
+    elif sub == "render":
+        maybe("scale", numbers.map(repr))
+        maybe("out", outputs)
+        if draw(st.booleans()):
+            argv.append("--labels")
+    elif sub == "sample":
+        maybe("n", st.integers(-1, 2000))
+        maybe("seed", st.one_of(st.integers(0, 2 ** 64), st.integers(-2, 2 ** 130)))
+        maybe("flips", outputs)
+    elif sub == "mean":
+        if draw(st.integers(0, 3)) == 0:
+            path = workdir / "obs.json"
+            files[path] = draw(file_contents)
+            argv.append(f"--obs={path}")
+        else:
+            for flag in ("x", "y", "z1", "z2"):
+                maybe(flag, numbers.map(repr))
+    if draw(st.integers(0, 19)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--n=1", "--q1=.5", "--labels"])))
+    return argv, files
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_argv_ends_in_a_clean_exit(fuzz_dir, data):
+    argv, files = data.draw(cli_runs(fuzz_dir), label="run")
+    for path, text in files.items():
+        path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())["error"]
+        assert isinstance(error["code"], str) and isinstance(error["message"], str)
+    elif code == 0 and argv[0] != "render":  # render writes SVG, not JSON
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 NUMPY_PROBE = """

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from coinqubit import (
     sample_flips,
     sample_outcomes,
 )
+from coinqubit import tomography
 from coinqubit.cli import main
 from coinqubit.tomography import _CHUNK, _axis_rng
 
@@ -97,6 +99,72 @@ class TestChunkedDraw:
         assert peak <= 2 * 2**20
 
 
+class TestFlipRecord:
+    """The public contract of a flip record, and the records sample_flips
+    builds without going through the constructor."""
+
+    @pytest.mark.parametrize("fields, message", [
+        (("w", "up", 0), "axis must be one of"),
+        (("x", "side", 0), "outcome must be one of"),
+        (("x", "up", -1), "trial index must be nonnegative"),
+    ])
+    def test_constructor_rejects_bad_fields(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            FlipRecord(*fields)
+
+    def test_fields_are_read_only(self):
+        record = FlipRecord("x", "up", 0)
+        with pytest.raises(AttributeError):
+            record.axis = "y"
+
+    def test_repr(self):
+        record = FlipRecord("y", "down", 7)
+        assert repr(record) == "FlipRecord(axis='y', outcome='down', trial=7)"
+
+    def test_equal_records_hash_equal(self):
+        first, second = FlipRecord("z", "up", 3), FlipRecord("z", "up", 3)
+        assert first == second and hash(first) == hash(second)
+        assert first != FlipRecord("z", "down", 3)
+
+    def test_pickle_round_trip(self):
+        record = FlipRecord("y", "down", 12)
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_tuple_equality_and_unpacking(self):
+        record = FlipRecord("x", "down", 4)
+        assert record == ("x", "down", 4)
+        axis, outcome, trial = record
+        assert (axis, outcome, trial) == (record.axis, record.outcome, record.trial)
+
+    @pytest.mark.parametrize(
+        "change", [{"axis": "w"}, {"outcome": "side"}, {"trial": -1}]
+    )
+    def test_replace_validates(self, change):
+        with pytest.raises(ValueError):
+            FlipRecord("x", "up", 0)._replace(**change)
+
+    def test_sample_flips_records_pass_the_constructor(self):
+        flips = list(sample_flips(PURE_TARGET, _CHUNK + 1, 13))
+        assert len(flips) == 3 * (_CHUNK + 1)
+        for record in flips:
+            assert type(record) is FlipRecord
+            assert record == FlipRecord(record.axis, record.outcome, record.trial)
+
+    def test_sample_flips_skips_the_constructor(self, monkeypatch):
+        calls = []
+
+        class CountingRecord(FlipRecord):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                calls.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(tomography, "FlipRecord", CountingRecord)
+        flips = list(sample_flips(PURE_TARGET, 10, 13))
+        assert len(flips) == 30 and calls == []
+
+
 class TestEstimate:
     def test_forced_frequencies(self):
         flips = [
@@ -128,6 +196,11 @@ class TestEstimate:
         p = ProbabilityTriple(0.6, 0.5, 0.7)
         report = estimate(sample_flips(p, 500, 9), seed=9)
         assert report == run_experiment(p, 500, 9)
+
+    def test_matches_run_experiment_across_a_chunk_boundary(self):
+        n = _CHUNK + 1
+        report = estimate(sample_flips(PURE_TARGET, n, 9), seed=9)
+        assert report == run_experiment(PURE_TARGET, n, 9)
 
     def test_std_errors(self):
         report = run_experiment(ProbabilityTriple(0.6, 0.5, 0.7), 400, 5)
