@@ -13,12 +13,14 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 
-from .errors import CoinQubitError, DomainError
+from .errors import CoinQubitError, DomainError, NotOrthogonalError
 from .malevich import render_svg, triada_sides
 from .observables import CoinObservable, classical_means, quantum_mean
 from .states import (
+    PATH_AGREE_TOL,
     ProbabilityTriple,
     coins_to_complex,
     fidelity,
@@ -27,7 +29,6 @@ from .states import (
     purity,
 )
 from .superposition import (
-    ORTHO_TOL,
     SuperpositionWeights,
     orthogonal_partner,
     superpose_general,
@@ -38,7 +39,7 @@ from .superposition import (
 from .tomography import AXES, _fold, _up_chunks, reconstruct, run_experiment
 
 SEED_ENV_VAR = "COIN_QUBIT_SEED"
-PATH_AGREE_TOL = 1e-9
+_NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _dumps(obj) -> str:
@@ -72,6 +73,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's negative-number pattern has no exponent, so it read the
+        # "-1e3" of "--z2 -1e3" as an option; any negative float is a value.
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
     def error(self, message):  # noqa: A003 - argparse API
         raise _UsageError(message)
 
@@ -240,9 +247,8 @@ def _cmd_superpose(args) -> None:
     general = superpose_general(p, q, w)
     oracle = superpose_oracle(p, q, w)
     paths = [general, oracle]
-    if fidelity(p, q) < ORTHO_TOL:
-        paths.append(superpose_orthogonal(p, q, w))
-        paths.append(superpose_spinor(p, q, w))
+    with contextlib.suppress(NotOrthogonalError):
+        paths += [superpose_orthogonal(p, q, w), superpose_spinor(p, q, w)]
     ref = oracle.state
     agree = all(
         max(

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .states import ProbabilityTriple
+from .states import SIDE_TOL, SPILL_TOL, ProbabilityTriple
 
 SIDE_MAX = math.sqrt(2.0)
-_RADICAND_CLAMP = 1e-12
 
 # Square color assignment L1/L2/L3 -> black/red/white is our convention;
 # only the set of three colors is fixed.
@@ -38,7 +37,7 @@ class MalevichTriada:
     def __post_init__(self) -> None:
         for name in ("L1", "L2", "L3"):
             value = float(getattr(self, name))
-            if not 0.0 <= value <= SIDE_MAX + 1e-9:
+            if not 0.0 <= value <= SIDE_MAX + SIDE_TOL:
                 raise DomainError(
                     f"{name} must lie in [0, sqrt(2)], got {value!r}"
                 )
@@ -51,7 +50,7 @@ class MalevichTriada:
 def _side(a: float, b: float) -> float:
     radicand = 2.0 + 2.0 * a * a - 4.0 * a - 2.0 * b + 2.0 * b * b + 2.0 * a * b
     if radicand < 0.0:
-        if not radicand > -_RADICAND_CLAMP:
+        if not radicand > -SPILL_TOL:
             raise ArithmeticError(
                 f"side radicand {radicand} is negative beyond floating error"
             )

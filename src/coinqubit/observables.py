@@ -13,14 +13,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .states import ProbabilityTriple, _require_quantum, prob_to_density
+from .states import (
+    MEAN_IDENTITY_TOL,
+    ProbabilityTriple,
+    _require_quantum,
+    prob_to_density,
+)
 
 # numpy is imported inside the functions that build arrays, so the
 # scalar API and the CLI start without loading it.
 if TYPE_CHECKING:
     import numpy as np
-
-MEAN_IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)

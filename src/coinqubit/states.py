@@ -22,29 +22,33 @@ from .errors import ClassicalStateError, DomainError, NotPureError
 if TYPE_CHECKING:
     import numpy as np
 
-# Classification of a triple against the correlation ball uses a looser
-# tolerance than matrix-equality assertions: classification is a physical
-# statement, equality checks are floating-point bookkeeping.
-CLASS_TOL = 1e-9
-HERMITIAN_TOL = 1e-10
-TRACE_TOL = 1e-12
-DET_TOL = 1e-12
-NORM_TOL = 1e-12
-# Probabilities this close to 0 or 1 count as a pole of the spinor phase.
-POLE_TOL = 1e-12
+# The tolerance table: every tolerance of the package, named for the bound
+# it guards.  Classification and orthogonality are physical statements and
+# use looser bounds than floating-point bookkeeping.
+BALL_TOL = 1e-9  # |radius^2 - 1/4| of a triple on the ball surface (pure)
+ORTHO_TOL = 1e-9  # Tr(rho1 rho2) below which two states count as orthogonal
+PATH_AGREE_TOL = 1e-9  # coin gap of a superposition path from the oracle
+SIDE_TOL = 1e-9  # spill of a triada side above sqrt(2)
+HERMITIAN_TOL = 1e-10  # anti-Hermitian part of a matrix read as Hermitian
+UNIT_TOL = 1e-12  # |Tr rho - 1| of a matrix, ||psi|^2 - 1| of a spinor
+SPILL_TOL = 1e-12  # absorbed rounding past p in [0, 1], |z| <= 1, det >= 0
+POLE_TOL = 1e-12  # hypot(p1 - 1/2, p2 - 1/2) at or below which the phase is 0
+DIVISOR_TOL = 1e-12  # closed-form divisors p3, p3(1-p3), sin(phi2-phi1)
+ANNIHILATION_TOL = 1e-12  # squared norm of a superposed vector that is zero
+MEAN_IDENTITY_TOL = 1e-12  # relative gap of Tr(rho H) from the classical sum
+INTERFERENCE_TOL = 1e-14  # lam1*lam2 and Tr(rho1 rho0 rho2 rho0), as zero
 
-_CLAMP = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
 def _unit_interval(value: float, name: str) -> float:
-    """Validate a probability, absorbing sub-1e-12 floating spill."""
+    """Validate a probability, absorbing floating spill up to SPILL_TOL."""
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
-    if -_CLAMP <= value < 0.0:
+    if -SPILL_TOL <= value < 0.0:
         return 0.0
-    if 1.0 < value <= 1.0 + _CLAMP:
+    if 1.0 < value <= 1.0 + SPILL_TOL:
         return 1.0
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
@@ -92,7 +96,7 @@ class ProbabilityTriple:
     def classify(self) -> str:
         """Return 'pure', 'mixed' or 'classical'."""
         r2 = self.radius2
-        if abs(r2 - 0.25) <= CLASS_TOL:
+        if abs(r2 - 0.25) <= BALL_TOL:
             return "pure"
         if r2 > 0.25:
             return "classical"
@@ -100,11 +104,11 @@ class ProbabilityTriple:
 
     @property
     def is_quantum(self) -> bool:
-        return self.radius2 <= 0.25 + CLASS_TOL
+        return self.radius2 <= 0.25 + BALL_TOL
 
     @property
     def is_pure(self) -> bool:
-        return abs(self.radius2 - 0.25) <= CLASS_TOL
+        return abs(self.radius2 - 0.25) <= BALL_TOL
 
     def to_json_dict(self) -> dict:
         return {"kind": "coin-state", "p1": self.p1, "p2": self.p2, "p3": self.p3}
@@ -139,7 +143,7 @@ class DensityMatrix2:
         object.__setattr__(self, "rho00", float(self.rho00))
         object.__setattr__(self, "rho01", complex(self.rho01))
         object.__setattr__(self, "rho11", float(self.rho11))
-        if abs(self.rho00 + self.rho11 - 1.0) > TRACE_TOL:
+        if abs(self.rho00 + self.rho11 - 1.0) > UNIT_TOL:
             raise DomainError(
                 f"trace must be 1, got {self.rho00 + self.rho11!r}"
             )
@@ -154,7 +158,7 @@ class DensityMatrix2:
 
     @property
     def is_nonnegative(self) -> bool:
-        return self.det >= -DET_TOL
+        return self.det >= -SPILL_TOL
 
     def eigenvalues(self) -> tuple[float, float]:
         """Closed-form eigenvalues, descending."""
@@ -203,7 +207,7 @@ class Spinor2:
         a1 = float(self.amplitude1)
         if a0 < 0.0 or a1 < 0.0:
             raise DomainError("spinor amplitudes must be nonnegative")
-        if abs(a0 * a0 + a1 * a1 - 1.0) > NORM_TOL:
+        if abs(a0 * a0 + a1 * a1 - 1.0) > UNIT_TOL:
             raise DomainError(
                 f"spinor must be normalized, got |.|^2 = {a0 * a0 + a1 * a1!r}"
             )
@@ -283,7 +287,7 @@ def coin_phase(p: ProbabilityTriple) -> float:
     """Azimuthal phase of a triple, in [0, 2*pi); 0 by convention at poles."""
     dx = p.p1 - 0.5
     dy = p.p2 - 0.5
-    if dx * dx + dy * dy <= POLE_TOL:
+    if math.hypot(dx, dy) <= POLE_TOL:
         return 0.0
     return _wrap_phase(math.atan2(dy, dx))
 
@@ -292,7 +296,7 @@ def prob_to_spinor(p: ProbabilityTriple) -> Spinor2:
     """Spinor (sqrt(p3), sqrt(1-p3)*exp(i*gamma)) of a pure triple.
 
     gamma satisfies cos(gamma) = (p1-1/2)/sqrt(p3(1-p3)) and
-    sin(gamma) = (p2-1/2)/sqrt(p3(1-p3)); at the poles p3 in {0, 1} the
+    sin(gamma) = (p2-1/2)/sqrt(p3(1-p3)); at a pole (see coin_phase) the
     phase is 0 by convention.
     """
     _require_pure(p)
@@ -303,10 +307,13 @@ def prob_to_spinor(p: ProbabilityTriple) -> Spinor2:
 
 def spinor_to_prob(s: Spinor2) -> ProbabilityTriple:
     """Pure triple of a spinor; inverse of prob_to_spinor away from poles."""
-    p3 = s.amplitude0 ** 2
-    r = s.amplitude0 * s.amplitude1
+    return _pure_triple(s.amplitude0 ** 2, s.amplitude0 * s.amplitude1, s.phase)
+
+
+def _pure_triple(p3: float, r: float, phase: float) -> ProbabilityTriple:
+    """Pure triple (1/2 + r cos(phase), 1/2 + r sin(phase), p3), r^2 = p3(1-p3)."""
     return ProbabilityTriple(
-        0.5 + r * math.cos(s.phase), 0.5 + r * math.sin(s.phase), p3
+        0.5 + r * math.cos(phase), 0.5 + r * math.sin(phase), p3
     )
 
 
@@ -314,21 +321,15 @@ def complex_to_coins(z: complex) -> ProbabilityTriple:
     """Map a complex number with |z| <= 1 to a pure coin triple.
 
     p3 = |z|^2 and the phase of z fixes p1, p2 on the circle
-    (p1-1/2)^2 + (p2-1/2)^2 = p3(1-p3).
+    (p1-1/2)^2 + (p2-1/2)^2 = p3(1-p3); the phase is 0 at the poles.
     """
     z = complex(z)
     mag2 = abs(z) ** 2
-    if mag2 > 1.0 + _CLAMP:
+    if mag2 > 1.0 + SPILL_TOL:
         raise DomainError(f"|z| must be <= 1, got |z| = {abs(z)!r}")
     p3 = min(mag2, 1.0)
-    r = math.sqrt(max(p3 * (1.0 - p3), 0.0))
-    if r <= POLE_TOL or abs(z) == 0.0:
-        phase = 0.0
-    else:
-        phase = cmath.phase(z)
-    return ProbabilityTriple(
-        0.5 + r * math.cos(phase), 0.5 + r * math.sin(phase), p3
-    )
+    r = math.sqrt(p3 * (1.0 - p3))
+    return _pure_triple(p3, r, 0.0 if r <= POLE_TOL else cmath.phase(z))
 
 
 def coins_to_complex(p: ProbabilityTriple) -> complex:

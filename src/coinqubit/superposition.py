@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -31,8 +31,13 @@ from .errors import (
     NotOrthogonalError,
 )
 from .states import (
+    ANNIHILATION_TOL,
+    DIVISOR_TOL,
+    INTERFERENCE_TOL,
+    ORTHO_TOL,
     DensityMatrix2,
     ProbabilityTriple,
+    _pure_triple,
     _require_pure,
     coin_phase,
     density_to_prob,
@@ -44,13 +49,6 @@ from .states import (
 # scalar API and the CLI start without loading it.
 if TYPE_CHECKING:
     import numpy as np
-
-ORTHO_TOL = 1e-9
-ANNIHILATION_TOL = 1e-12
-PHASE_TRACE_TOL = 1e-14
-WEIGHT_TOL = 1e-14
-# Closed forms divide by sqrt(p3 * q3); below this the oracle takes over.
-GENERAL_POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,13 +147,9 @@ def superpose_general(
     w = _as_weights(w)
     _require_pure(p, "first state")
     _require_pure(q, "second state")
-    if p.p3 <= GENERAL_POLE_TOL or q.p3 <= GENERAL_POLE_TOL:
-        oracle = superpose_oracle(p, q, w)
-        return SuperpositionResult(
-            state=oracle.state,
-            normalization=oracle.normalization,
-            path="general_closed_form",
-            fallback_used=True,
+    if p.p3 <= DIVISOR_TOL or q.p3 <= DIVISOR_TOL:
+        return replace(
+            superpose_oracle(p, q, w), path="general_closed_form", fallback_used=True
         )
 
     dp1, dp2 = p.p1 - 0.5, p.p2 - 0.5
@@ -197,6 +191,9 @@ def superpose_general(
 
 
 def _require_orthogonal(p: ProbabilityTriple, q: ProbabilityTriple) -> None:
+    """Check that p and q are pure and orthogonal."""
+    _require_pure(p, "first state")
+    _require_pure(q, "second state")
     overlap = fidelity(p, q)
     if overlap >= ORTHO_TOL:
         raise NotOrthogonalError(
@@ -214,7 +211,9 @@ def assemble_projector_sum(
     """Matrix of the projector addition rule for orthogonal pure inputs.
 
     lam1*rho1 + lam2*rho2 + sqrt(lam1*lam2) *
-    (rho1 rho0 rho2 + rho2 rho0 rho1) / sqrt(Tr(rho1 rho0 rho2 rho0)).
+    (rho1 rho0 rho2 + rho2 rho0 rho1) / sqrt(Tr(rho1 rho0 rho2 rho0)),
+    divided by its trace, which differs from 1 for inputs that pass the
+    orthogonality tolerance without being exactly orthogonal.
 
     By default rho0 is the projector of (|psi1> + e^{i*alpha}|psi2>)/sqrt(2),
     which gauges arg<psi1|psi0> to 0 and arg<psi2|psi0> to alpha so that the
@@ -222,36 +221,58 @@ def assemble_projector_sum(
     rho0 overrides that choice; the degenerate case where rho0 is orthogonal
     to an input (vanishing trace factor) is then an error.
     """
-    return _projector_sum(p, q, _as_weights(w), rho0)[0]
+    return _projector_sum(p, q, _as_weights(w), rho0)[0].as_array()
+
+
+def _ket(p: ProbabilityTriple) -> tuple[complex, complex]:
+    """Components (a0, a1*e^{i*phase}) of the spinor of a pure triple."""
+    s = prob_to_spinor(p)
+    return complex(s.amplitude0), s.amplitude1 * cmath.exp(1j * s.phase)
 
 
 def _projector_sum(
     p: ProbabilityTriple, q: ProbabilityTriple, w: SuperpositionWeights,
     rho0: DensityMatrix2 | None,
-) -> tuple[np.ndarray, float]:
-    """Projector-rule matrix and its trace factor Tr(rho1 rho0 rho2 rho0)."""
-    _require_pure(p, "first state")
-    _require_pure(q, "second state")
-    _require_orthogonal(p, q)
-    import numpy as np
+) -> tuple[DensityMatrix2, float, float]:
+    """Projector-rule state, the trace it was divided by, and the trace
+    factor Tr(rho1 rho0 rho2 rho0).
 
-    v1 = prob_to_spinor(p).as_vector()
-    v2 = prob_to_spinor(q).as_vector()
-    m1, m2 = np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
+    With rho1 = |1><1| and rho2 = |2><2|, rho1 rho0 rho2 = g|1><2| for
+    g = <1|rho0|2>, and Tr(rho1 rho0 rho2 rho0) = |g|^2.
+    """
+    _require_orthogonal(p, q)
+    u, v = _ket(p), _ket(q)
     if rho0 is None:
-        psi0 = (v1 + cmath.exp(1j * w.alpha) * v2) / math.sqrt(2.0)
-        m0 = np.outer(psi0, psi0.conj())
+        # g = <1|psi0><psi0|2> for psi0 = (|1> + e^{i*alpha}|2>)/sqrt(2),
+        # with <1|1> = <2|2> = 1
+        phase = cmath.exp(1j * w.alpha)
+        overlap = u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
+        g = (1.0 + phase * overlap) * (overlap + phase.conjugate()) / 2.0
     else:
-        m0 = rho0.as_array()
-    trace_factor = float(np.trace(m1 @ m0 @ m2 @ m0).real)
-    if trace_factor <= PHASE_TRACE_TOL:
+        g = u[0].conjugate() * (rho0.rho00 * v[0] + rho0.rho01 * v[1]) + (
+            u[1].conjugate() * (rho0.rho10 * v[0] + rho0.rho11 * v[1])
+        )
+    trace_factor = abs(g) ** 2
+    if trace_factor <= INTERFERENCE_TOL:
         raise DegeneratePhaseStateError(
             "Tr(rho1 rho0 rho2 rho0) vanishes: the phase-defining projector "
             "is orthogonal to one of the input states"
         )
-    cross = (m1 @ m0 @ m2 + m2 @ m0 @ m1) / math.sqrt(trace_factor)
-    root = math.sqrt(w.lambda1 * w.lambda2)
-    return w.lambda1 * m1 + w.lambda2 * m2 + root * cross, trace_factor
+    k = math.sqrt(w.lambda1 * w.lambda2) / abs(g)
+
+    def entry(i: int, j: int) -> complex:
+        """<i| lam1 rho1 + lam2 rho2 + k (g|1><2| + conj(g)|2><1|) |j>"""
+        cross = g * u[i] * v[j].conjugate()
+        return (
+            w.lambda1 * u[i] * u[j].conjugate()
+            + w.lambda2 * v[i] * v[j].conjugate()
+            + k * (cross + (g * u[j] * v[i].conjugate()).conjugate())
+        )
+
+    m00, m11 = entry(0, 0).real, entry(1, 1).real
+    trace = m00 + m11
+    rho = DensityMatrix2(m00 / trace, entry(0, 1) / trace, m11 / trace)
+    return rho, trace, trace_factor
 
 
 def superpose_orthogonal(
@@ -260,11 +281,10 @@ def superpose_orthogonal(
     w,
     rho0: DensityMatrix2 | None = None,
 ) -> SuperpositionResult:
-    """Projector addition rule for orthogonal pure inputs."""
-    matrix = assemble_projector_sum(p, q, w, rho0)
-    rho = DensityMatrix2.from_array(matrix)
+    """Projector addition rule; the normalization is the sum's trace."""
+    rho, trace, _ = _projector_sum(p, q, _as_weights(w), rho0)
     return SuperpositionResult(
-        state=density_to_prob(rho), normalization=1.0, path="orthogonal_rule"
+        state=density_to_prob(rho), normalization=trace, path="orthogonal_rule"
     )
 
 
@@ -282,12 +302,12 @@ def delta_decomposition(
     T = Tr(rho1 rho0 rho2 rho0)^(-1/2) for the rho0 actually used.
     """
     w = _as_weights(w)
-    if w.lambda1 * w.lambda2 < WEIGHT_TOL:
+    if w.lambda1 * w.lambda2 < INTERFERENCE_TOL:
         raise DomainError(
             "delta is undefined for pure weights (lambda1 * lambda2 = 0)"
         )
-    matrix, trace_factor = _projector_sum(p, q, w, rho0)
-    out = density_to_prob(DensityMatrix2.from_array(matrix))
+    rho, _, trace_factor = _projector_sum(p, q, w, rho0)
+    out = density_to_prob(rho)
     linear = w.lambda1 * p.vec() + w.lambda2 * q.vec()
     delta = (out.vec() - linear) / math.sqrt(w.lambda1 * w.lambda2)
     return linear, delta, trace_factor ** -0.5
@@ -304,8 +324,6 @@ def superpose_spinor(
     with beta, mu the phases of p and q and delta the weight phase.
     """
     w = _as_weights(w)
-    _require_pure(p, "first state")
-    _require_pure(q, "second state")
     _require_orthogonal(p, q)
     beta = coin_phase(p)
     mu = coin_phase(q)
@@ -317,16 +335,16 @@ def superpose_spinor(
     bottom = cmath.exp(1j * beta) * math.sqrt(
         pi3 * (1.0 - p.p3)
     ) + cmath.exp(1j * (delta + mu)) * math.sqrt((1.0 - pi3) * (1.0 - q.p3))
-    import numpy as np
-
-    psi = np.array([top, bottom])
-    norm2 = float(np.vdot(psi, psi).real)
+    top2, bottom2 = abs(top) ** 2, abs(bottom) ** 2
+    norm2 = top2 + bottom2
     if norm2 <= ANNIHILATION_TOL:
         raise DegenerateSuperpositionError(
             "the superposed column vector has zero norm (exact destructive "
             "interference); no qubit state exists"
         )
-    rho = DensityMatrix2.from_array(np.outer(psi, psi.conj()) / norm2)
+    rho = DensityMatrix2(
+        top2 / norm2, top * bottom.conjugate() / norm2, bottom2 / norm2
+    )
     return SuperpositionResult(
         state=density_to_prob(rho), normalization=norm2, path="spinor_path"
     )
@@ -360,7 +378,7 @@ def unit_normalization_phase(
     _require_pure(p, "first state")
     _require_pure(q, "second state")
     for name, value in (("p3", p.p3), ("q3", q.p3)):
-        if value * (1.0 - value) <= GENERAL_POLE_TOL:
+        if value * (1.0 - value) <= DIVISOR_TOL:
             raise DomainError(
                 f"{name} = {value} sits at a pole; the phase condition "
                 "is undefined there"
@@ -368,7 +386,7 @@ def unit_normalization_phase(
     phi1 = coin_phase(p)
     phi2 = coin_phase(q)
     sin_diff = math.sin(phi2 - phi1)
-    if abs(sin_diff) <= 1e-12:
+    if abs(sin_diff) <= DIVISOR_TOL:
         raise DomainError(
             "the input phases coincide modulo pi; no weight phase makes the "
             "normalization equal to 1"
@@ -384,8 +402,4 @@ def weights_for_phase(alpha: float, pi3: float = 0.5) -> SuperpositionWeights:
     if not 0.0 <= pi3 <= 1.0:
         raise DomainError(f"Pi3 must lie in [0, 1], got {pi3!r}")
     r = math.sqrt(pi3 * (1.0 - pi3))
-    return SuperpositionWeights(
-        ProbabilityTriple(
-            0.5 + r * math.cos(alpha), 0.5 + r * math.sin(alpha), pi3
-        )
-    )
+    return SuperpositionWeights(_pure_triple(pi3, r, alpha))

@@ -214,6 +214,23 @@ class TestSuperpose:
         assert payload["result"]["p3"] == expected.state.p3
         assert payload["normalization"] == expected.normalization
 
+    @pytest.mark.parametrize("states", [
+        # fidelity 2.5e-11: passes ORTHO_TOL without being exactly orthogonal
+        ["--p1", "0.8875230508458739", "--p2", "0.6638421180023594",
+         "--p3", "0.7701511529340699", "--q1", "0.11247943743039668",
+         "--q2", "0.33615893402397434", "--q3", "0.22984463972451374",
+         "--w1", "1", "--w2", "0.5", "--w3", "0.5"],
+        # weight phase 2.0 on a weight triple 1e-13 from the pole
+        ["--p1", "1", "--p2", "0.5", "--p3", "0.5",
+         "--q1", "0", "--q2", "0.5", "--q3", "0.5",
+         "--w1", repr(0.5 + math.sqrt(1e-13 * (1 - 1e-13)) * math.cos(2.0)),
+         "--w2", repr(0.5 + math.sqrt(1e-13 * (1 - 1e-13)) * math.sin(2.0)),
+         "--w3", "1e-13"],
+    ])
+    def test_paths_agree_on_edge_inputs(self, capsys, states):
+        payload = run_json(capsys, "superpose", *states)
+        assert payload["paths_agree"] is True
+
     def test_degenerate_superposition_exit(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -386,6 +403,23 @@ class TestDispatch:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--p1", "-1e-13", "--p2", "0.5", "--p3", "0.5"], 0),
+        (["mean", "--p1", "0.6", "--p2", "0.7", "--p3", "0.8", "--z2", "-1e3"], 0),
+        (["mean", "--p1", "0.6", "--p2", "0.7", "--p3", "0.8",
+          "--x", "-2.5E-3", "--y", "-.5e1", "--z1", "-1.e+2"], 0),
+        (["render", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
+          "--scale", "-1e2"], 1),  # the scale must be positive
+    ])
+    def test_negative_exponent_values(self, capsys, argv, code):
+        # a separate "-1e3" token is a value, as in "--z2=-1e3"
+        joined = [argv[0]] + [
+            f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])
+        ]
+        result = run_cli(capsys, *argv)
+        assert result[0] == code
+        assert result == run_cli(capsys, *joined)
+
     def test_outputs_are_valid_json(self, capsys):
         for argv in (
             ["check", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5"],
@@ -417,8 +451,8 @@ STATE_SLOTS = {  # subcommand -> (flag prefix, file flag) per state it takes
     "sample": [("p", "state")],
     "mean": [("p", "state")],
 }
-EXTREMES = [0.0, -0.0, 0.5, 1.0, 1e-13, 1 - 1e-13, 1e308, -1e308,
-            1.7976931348623157e308, math.inf, -math.inf, math.nan]
+EXTREMES = [0.0, -0.0, 0.5, 1.0, 1e-13, 1 - 1e-13, -1e-13, -1e-20, 1e308,
+            -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
 POLES = [(0.5, 0.5, 1.0), (0.5, 0.5, 0.0), (1.0, 0.5, 0.5), (0.5, 0.0, 0.5)]
 
 
@@ -427,11 +461,29 @@ def _pure(theta: float, phi: float) -> tuple[float, float, float]:
     return 0.5 + r * math.cos(phi), 0.5 + r * math.sin(phi), 0.5 + math.cos(theta) / 2
 
 
+def _on_circle(p3: float, phi: float) -> tuple[float, float, float]:
+    r = math.sqrt(p3 * (1.0 - p3))
+    return 0.5 + r * math.cos(phi), 0.5 + r * math.sin(phi), p3
+
+
 numbers = st.one_of(st.floats(0, 1), st.sampled_from(EXTREMES), st.floats())
+# repr and lossless exponent form: argparse once read "-1.5e+03" as a flag
+number_texts = st.one_of(numbers.map(repr), numbers.map("{:.17e}".format))
 triples = st.one_of(
     st.tuples(numbers, numbers, numbers),
     st.builds(_pure, st.floats(0, math.pi), st.floats(0, 2 * math.pi)),
     st.sampled_from(POLES),
+    # pure states next to a pole, whose azimuth radius is 3e-7 or 1e-10
+    st.builds(
+        _on_circle, st.sampled_from([1e-13, 1e-20]), st.floats(0, 2 * math.pi)
+    ),
+)
+# Pairs whose fidelity eps^2/4 straddles ORTHO_TOL = 1e-9 around eps = 6e-5.
+near_orthogonal_pairs = st.builds(
+    lambda theta, phi, eps: (
+        _pure(theta, phi), _pure(math.pi - theta + eps, phi + math.pi)
+    ),
+    st.floats(0, math.pi), st.floats(0, 2 * math.pi), st.floats(-1e-4, 1e-4),
 )
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                          st.text(max_size=4))
@@ -454,19 +506,30 @@ def cli_runs(draw, workdir):
     sub = draw(st.sampled_from(sorted(STATE_SLOTS)))
     argv, files = [sub], {}
 
+    def option(flag, text):  # "--flag=text" or the two tokens "--flag", "text"
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={text}")
+        else:
+            argv.extend([f"--{flag}", text])
+
     def maybe(flag, values):  # give the flag three times in four
         if draw(st.integers(0, 3)):
-            argv.append(f"--{flag}={draw(values)}")
+            option(flag, str(draw(values)))
 
-    for prefix, file_flag in STATE_SLOTS[sub]:
+    slots = STATE_SLOTS[sub]
+    states = [draw(triples) for _ in slots]
+    if sub == "superpose" and draw(st.booleans()):
+        states[:2] = draw(near_orthogonal_pairs)
+    for (prefix, file_flag), state in zip(slots, states):
         if draw(st.integers(0, 3)) == 0:
             path = workdir / f"{file_flag}.json"
             files[path] = draw(file_contents)
             argv.append(f"--{file_flag}={path}")
         else:
-            for i, value in enumerate(draw(triples), 1):
+            for i, value in enumerate(state, 1):
                 if draw(st.integers(0, 19)):  # now and then leave a flag out
-                    argv.append(f"--{prefix}{i}={value!r}")
+                    text = draw(st.sampled_from([repr(value), f"{value:.17e}"]))
+                    option(f"{prefix}{i}", text)
     outputs = st.sampled_from([
         str(workdir / "output"), str(workdir), str(workdir / "missing" / "output"),
         *(["/dev/full"] if os.path.exists("/dev/full") else []),
@@ -476,7 +539,7 @@ def cli_runs(draw, workdir):
     elif sub == "partner":
         maybe("sign", st.sampled_from(["+", "-", "0"]))
     elif sub == "render":
-        maybe("scale", numbers.map(repr))
+        maybe("scale", number_texts)
         maybe("out", outputs)
         if draw(st.booleans()):
             argv.append("--labels")
@@ -491,7 +554,7 @@ def cli_runs(draw, workdir):
             argv.append(f"--obs={path}")
         else:
             for flag in ("x", "y", "z1", "z2"):
-                maybe(flag, numbers.map(repr))
+                maybe(flag, number_texts)
     if draw(st.integers(0, 19)) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "--n=1", "--q1=.5", "--labels"])))
     return argv, files
@@ -528,6 +591,7 @@ def test_every_argv_ends_in_a_clean_exit(fuzz_dir, data):
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import coinqubit, coinqubit.cli
+from coinqubit import ProbabilityTriple, SuperpositionWeights
 from coinqubit.cli import main
 
 state = ["--p1", "1", "--p2", "0.5", "--p3", "0.5"]
@@ -547,6 +611,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in scalar_argvs:
         assert main(argv) == 0, argv
     loaded["scalar"] = "numpy" in sys.modules
+    plus, minus = ProbabilityTriple(1, 0.5, 0.5), ProbabilityTriple(0, 0.5, 0.5)
+    w = SuperpositionWeights(ProbabilityTriple(0.5, 1, 0.5))
+    for path in ("superpose_general", "superpose_orthogonal", "superpose_spinor"):
+        getattr(coinqubit, path)(plus, minus, w)  # orthogonal, off the poles
+    loaded["kernels"] = "numpy" in sys.modules
     assert main(["sample", *state, "--n", "10", "--seed", "1"]) == 0
 loaded["sample"] = "numpy" in sys.modules
 print(json.dumps(loaded))
@@ -560,5 +629,5 @@ def test_numpy_loads_only_where_arrays_are_built():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(proc.stdout) == {
-        "import": False, "scalar": False, "sample": True,
+        "import": False, "scalar": False, "kernels": False, "sample": True,
     }

@@ -1,5 +1,7 @@
+import ast
 import cmath
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from coinqubit import (
     DomainError,
     NotPureError,
     ProbabilityTriple,
+    coin_phase,
     Spinor2,
     coins_to_complex,
     complex_to_coins,
@@ -230,6 +233,24 @@ class TestSpinorBijection:
         with pytest.raises(DomainError):
             Spinor2(1.0, 1.0, 0.0)
 
+    def test_pole_convention_compares_the_azimuth_radius(self):
+        # the phase is 0 only when hypot(p1 - 1/2, p2 - 1/2) <= POLE_TOL
+        for radius in (1e-7, 1e-11):
+            p = ProbabilityTriple(
+                0.5 + radius * math.cos(2.0), 0.5 + radius * math.sin(2.0), 0.5
+            )
+            assert coin_phase(p) == pytest.approx(2.0, abs=1e-4)
+        assert coin_phase(ProbabilityTriple(0.5, 0.5 - 1e-13, 0.5)) == 0.0
+        p3 = 1e-13  # a pure state whose azimuth radius is 3e-7
+        r = math.sqrt(p3 * (1.0 - p3))
+        near_pole = ProbabilityTriple(
+            0.5 + r * math.cos(2.0), 0.5 + r * math.sin(2.0), p3
+        )
+        assert prob_to_spinor(near_pole).phase == pytest.approx(2.0, abs=1e-8)
+        assert cmath.phase(coins_to_complex(near_pole)) == pytest.approx(
+            2.0, abs=1e-8
+        )
+
 
 class TestComplexCoins:
     def test_fixtures(self):
@@ -266,3 +287,46 @@ class TestComplexCoins:
                 math.sqrt(rng.uniform(0.01, 0.99)), rng.uniform(0, 6.28)
             )
             assert abs(coins_to_complex(complex_to_coins(z)) - z) < 1e-10
+
+
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "coinqubit"
+
+
+def _table_block(tree: ast.Module) -> tuple[int, int]:
+    """First and last line of the run of *_TOL assignments in a module."""
+    body = tree.body
+    marks = [
+        i for i, node in enumerate(body)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id.endswith("_TOL")
+                for t in node.targets)
+    ]
+    if not marks:
+        return 0, -1
+    assert marks == list(range(marks[0], marks[-1] + 1)), "table is split"
+    return body[marks[0]].lineno, body[marks[-1]].end_lineno
+
+
+def test_tolerances_live_in_one_table():
+    """Every tolerance is defined once, in one block of states.py."""
+    names, strays = [], []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        first, last = _table_block(tree)
+        if path.name == "states.py":
+            names = [
+                t.id for node in tree.body if first <= node.lineno <= last
+                for t in node.targets
+            ]
+        else:
+            assert last < first, f"{path.name} defines its own *_TOL names"
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < abs(node.value) <= 1e-6
+                and not first <= node.lineno <= last
+            ):
+                strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not strays, f"tolerance literals outside the table: {strays}"
+    assert names and len(set(names)) == len(names) < 15

@@ -35,6 +35,27 @@ def _max_diff(a, b):
     return abs(a.state.vec() - b.state.vec()).max()
 
 
+def _pure(theta, phi):
+    r = math.sin(theta) / 2.0
+    return (
+        0.5 + r * math.cos(phi), 0.5 + r * math.sin(phi), 0.5 + math.cos(theta) / 2
+    )
+
+
+class TestNearPole:
+    # The azimuth radius sqrt(p3 (1 - p3)) stays above POLE_TOL down to
+    # p3 = 1e-20, so those states keep their phase; 1e-26 and 0 are poles.
+    @pytest.mark.parametrize("p3", [1e-13, 1e-16, 1e-20, 1e-26, 0.0])
+    def test_four_paths_agree(self, p3):
+        r = math.sqrt(p3 * (1.0 - p3))
+        p = ProbabilityTriple(0.5 + r * math.cos(1.0), 0.5 + r * math.sin(1.0), p3)
+        q = orthogonal_partner(p)
+        for w in (weights_for_phase(2.0, 0.3), weights_for_phase(2.0, 1e-13)):
+            oracle = superpose_oracle(p, q, w)
+            for path in (superpose_general, superpose_orthogonal, superpose_spinor):
+                assert _max_diff(path(p, q, w), oracle) < 1e-9, path.__name__
+
+
 class TestWeights:
     def test_requires_pure_triple(self):
         with pytest.raises(NotPureError):
@@ -191,6 +212,24 @@ class TestOrthogonalRule:
             assert abs(matrix - matrix.conj().T).max() < 1e-10
             assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-10)
             assert abs(matrix @ matrix - matrix).max() < 1e-10
+
+    @pytest.mark.parametrize("p, q", [
+        # fidelity 2.5e-11, inside ORTHO_TOL but not exactly orthogonal
+        ((0.8875230508458739, 0.6638421180023594, 0.7701511529340699),
+         (0.11247943743039668, 0.33615893402397434, 0.22984463972451374)),
+        # 1e-8 off the antipode; the fidelity rounds to 2e-16
+        (_pure(1.0, 0.3), _pure(math.pi - 1.0 + 1e-8, 0.3 + math.pi)),
+    ])
+    def test_nearly_orthogonal_inputs(self, p, q):
+        p, q = ProbabilityTriple(*p), ProbabilityTriple(*q)
+        matrix = assemble_projector_sum(p, q, EQUAL_WEIGHTS)
+        assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-12)
+        result = superpose_orthogonal(p, q, EQUAL_WEIGHTS)
+        oracle = superpose_oracle(p, q, EQUAL_WEIGHTS)
+        assert _max_diff(result, oracle) < 1e-9
+        assert result.normalization == pytest.approx(
+            oracle.normalization, abs=1e-12
+        )
 
     def test_degenerate_phase_state(self):
         # rho0 = |0><0| supplied explicitly is orthogonal to rho2 = |1><1|
