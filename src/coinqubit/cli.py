@@ -64,10 +64,6 @@ def _dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(_dumps(obj) + "\n")
-
-
 class _UsageError(Exception):
     pass
 
@@ -103,33 +99,23 @@ def _open_output(path: str, newline: str | None = None):
         raise DomainError(f"cannot write file {path!r}: {exc}") from exc
 
 
-def _load_state_file(path: str) -> ProbabilityTriple:
-    return ProbabilityTriple.from_json_dict(_load_json(path))
-
-
 def _state_from(args, prefix: str, path_flag: str) -> ProbabilityTriple:
     """Resolve one state from --<prefix>1/2/3 flags or a JSON file path."""
-    path = getattr(args, path_flag, None)
-    components = [getattr(args, f"{prefix}{i}", None) for i in (1, 2, 3)]
+    path = getattr(args, path_flag)
+    components = [getattr(args, f"{prefix}{i}") for i in (1, 2, 3)]
     if path is not None:
         if any(value is not None for value in components):
             raise _UsageError(
-                f"give either --{path_flag.replace('_', '-')} or the "
+                f"give either --{path_flag} or the "
                 f"--{prefix}1/--{prefix}2/--{prefix}3 flags, not both"
             )
-        return _load_state_file(path)
+        return ProbabilityTriple.from_json_dict(_load_json(path))
     if any(value is None for value in components):
         raise _UsageError(
             f"state requires --{prefix}1, --{prefix}2 and --{prefix}3 "
-            f"(or a --{path_flag.replace('_', '-')} file)"
+            f"(or a --{path_flag} file)"
         )
     return ProbabilityTriple(*components)
-
-
-def _add_state_flags(parser, prefix: str = "p", path_flag: str = "state") -> None:
-    for i in (1, 2, 3):
-        parser.add_argument(f"--{prefix}{i}", type=float)
-    parser.add_argument(f"--{path_flag}", dest=path_flag.replace("-", "_"))
 
 
 def _complex_json(value: complex) -> dict:
@@ -145,105 +131,22 @@ def _matrix_json(rho) -> dict:
     }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="coinqubit", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_check = sub.add_parser("check", help="classify a triple against the ball")
-    _add_state_flags(p_check)
-
-    p_purity = sub.add_parser("purity", help="purity of a quantum triple")
-    _add_state_flags(p_purity)
-
-    p_fid = sub.add_parser("fidelity", help="overlap of two quantum triples")
-    _add_state_flags(p_fid, "p", "state1")
-    _add_state_flags(p_fid, "q", "state2")
-
-    p_conv = sub.add_parser(
-        "convert", help="triple to density matrix, spinor or complex number"
-    )
-    _add_state_flags(p_conv)
-    p_conv.add_argument(
-        "--to", choices=("density", "spinor", "complex"), default="density"
-    )
-
-    p_sup = sub.add_parser("superpose", help="superpose two pure states")
-    _add_state_flags(p_sup, "p", "state1")
-    _add_state_flags(p_sup, "q", "state2")
-    _add_state_flags(p_sup, "w", "weights")
-
-    p_partner = sub.add_parser(
-        "partner", help="orthogonal partner of a pure state"
-    )
-    _add_state_flags(p_partner)
-    p_partner.add_argument("--sign", choices=("+", "-"), default="+")
-
-    p_triada = sub.add_parser("triada", help="Malevich square side lengths")
-    _add_state_flags(p_triada)
-
-    p_render = sub.add_parser("render", help="render the triada as SVG")
-    _add_state_flags(p_render)
-    p_render.add_argument("--scale", type=float, default=100.0)
-    p_render.add_argument("--labels", action="store_true")
-    p_render.add_argument("--out")
-
-    p_sample = sub.add_parser(
-        "sample", help="simulate coin flips and estimate the triple"
-    )
-    _add_state_flags(p_sample)
-    p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--seed", type=int)
-    p_sample.add_argument("--flips", help="write the flip stream to this CSV")
-
-    p_mean = sub.add_parser("mean", help="quantum mean of a coin observable")
-    _add_state_flags(p_mean)
-    p_mean.add_argument("--x", type=float)
-    p_mean.add_argument("--y", type=float)
-    p_mean.add_argument("--z1", type=float)
-    p_mean.add_argument("--z2", type=float)
-    p_mean.add_argument("--obs", help="observable JSON file {x, y, z1, z2}")
-
-    return parser
-
-
-def _cmd_check(args) -> None:
-    p = _state_from(args, "p", "state")
-    _emit({"class": p.classify(), "radius2": p.radius2})
-
-
-def _cmd_purity(args) -> None:
-    p = _state_from(args, "p", "state")
-    _emit({"purity": purity(p)})
-
-
-def _cmd_fidelity(args) -> None:
-    p = _state_from(args, "p", "state1")
-    q = _state_from(args, "q", "state2")
-    _emit({"fidelity": fidelity(p, q)})
-
-
-def _cmd_convert(args) -> None:
-    p = _state_from(args, "p", "state")
+def _convert(args, p) -> dict:
     if args.to == "density":
         rho = prob_to_density(p)
-        _emit({"matrix": _matrix_json(rho), "nonnegative": rho.is_nonnegative})
-    elif args.to == "spinor":
+        return {"matrix": _matrix_json(rho), "nonnegative": rho.is_nonnegative}
+    if args.to == "spinor":
         s = prob_to_spinor(p)
-        _emit(
-            {
-                "amplitude0": s.amplitude0,
-                "amplitude1": s.amplitude1,
-                "phase": s.phase,
-            }
-        )
-    else:
-        _emit(_complex_json(coins_to_complex(p)))
+        return {
+            "amplitude0": s.amplitude0,
+            "amplitude1": s.amplitude1,
+            "phase": s.phase,
+        }
+    return _complex_json(coins_to_complex(p))
 
 
-def _cmd_superpose(args) -> None:
-    p = _state_from(args, "p", "state1")
-    q = _state_from(args, "q", "state2")
-    w = SuperpositionWeights(_state_from(args, "w", "weights"))
+def _superpose(args, p, q, weights) -> dict:
+    w = SuperpositionWeights(weights)
     general = superpose_general(p, q, w)
     oracle = superpose_oracle(p, q, w)
     paths = [general, oracle]
@@ -259,28 +162,16 @@ def _cmd_superpose(args) -> None:
         < PATH_AGREE_TOL
         for result in paths
     )
-    _emit(
-        {
-            "result": general.state.to_json_dict(),
-            "normalization": general.normalization,
-            "paths_agree": agree,
-            "fallback_used": general.fallback_used,
-        }
-    )
+    return {
+        "result": general.state.to_json_dict(),
+        "normalization": general.normalization,
+        "paths_agree": agree,
+        "fallback_used": general.fallback_used,
+    }
 
 
-def _cmd_partner(args) -> None:
-    p = _state_from(args, "p", "state")
-    _emit(orthogonal_partner(p, args.sign).to_json_dict())
-
-
-def _cmd_triada(args) -> None:
-    t = triada_sides(_state_from(args, "p", "state"))
-    _emit({"L1": t.L1, "L2": t.L2, "L3": t.L3})
-
-
-def _cmd_render(args) -> None:
-    t = triada_sides(_state_from(args, "p", "state"))
+def _render(args, p) -> None:
+    t = triada_sides(p)
     try:
         svg = render_svg(t, scale=args.scale, labels=args.labels)
     except ValueError as exc:
@@ -292,8 +183,7 @@ def _cmd_render(args) -> None:
         sys.stdout.write(svg)
 
 
-def _cmd_sample(args) -> None:
-    p = _state_from(args, "p", "state")
+def _sample(args, p) -> dict:
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
@@ -326,59 +216,96 @@ def _cmd_sample(args) -> None:
     else:
         report = run_experiment(p, args.n, seed)
     rho, verdict = reconstruct(report)
-    _emit(
-        {
-            "p_hat": report.p_hat.to_json_dict(),
-            "counts": dict(zip(AXES, report.counts)),
-            "std_errors": dict(zip(AXES, report.std_errors)),
-            "seed": report.seed,
-            "reconstruction": {
-                "matrix": _matrix_json(rho),
-                "nonnegative": rho.is_nonnegative,
-                "class": verdict,
-            },
-        }
-    )
+    return {
+        "p_hat": report.p_hat.to_json_dict(),
+        "counts": dict(zip(AXES, report.counts)),
+        "std_errors": dict(zip(AXES, report.std_errors)),
+        "seed": report.seed,
+        "reconstruction": {
+            "matrix": _matrix_json(rho),
+            "nonnegative": rho.is_nonnegative,
+            "class": verdict,
+        },
+    }
 
 
-def _cmd_mean(args) -> None:
-    p = _state_from(args, "p", "state")
+def _mean(args, p) -> dict:
+    coefficients = (args.x, args.y, args.z1, args.z2)
     if args.obs is not None:
-        if any(v is not None for v in (args.x, args.y, args.z1, args.z2)):
+        if any(v is not None for v in coefficients):
             raise _UsageError("give either --obs or --x/--y/--z1/--z2, not both")
         obs = CoinObservable.from_json_dict(_load_json(args.obs))
     else:
-        obs = CoinObservable(
-            args.x or 0.0, args.y or 0.0, args.z1 or 0.0, args.z2 or 0.0
-        )
+        obs = CoinObservable(*(0.0 if v is None else v for v in coefficients))
     mean_x, mean_y, mean_z = classical_means(obs, p)
-    _emit(
-        {
-            "mean": quantum_mean(obs, p),
-            "classical_means": {"x": mean_x, "y": mean_y, "z": mean_z},
-        }
-    )
+    return {
+        "mean": quantum_mean(obs, p),
+        "classical_means": {"x": mean_x, "y": mean_y, "z": mean_z},
+    }
 
 
-_DISPATCH = {
-    "check": _cmd_check,
-    "purity": _cmd_purity,
-    "fidelity": _cmd_fidelity,
-    "convert": _cmd_convert,
-    "superpose": _cmd_superpose,
-    "partner": _cmd_partner,
-    "triada": _cmd_triada,
-    "render": _cmd_render,
-    "sample": _cmd_sample,
-    "mean": _cmd_mean,
+_STATE = (("p", "state"),)
+_PAIR = (("p", "state1"), ("q", "state2"))
+
+# name -> (help, state slots as (flag prefix, file flag), extra arguments as
+# (flag, add_argument keywords), handler(args, *states) returning the dict to
+# print, or None when it writes its own output).  Each slot adds the flags
+# --<prefix>1/2/3 and --<file flag>; main resolves the slots in order.
+_COMMANDS = {
+    "check": ("classify a triple against the ball", _STATE, [],
+              lambda _, p: {"class": p.classify(), "radius2": p.radius2}),
+    "purity": ("purity of a quantum triple", _STATE, [],
+               lambda _, p: {"purity": purity(p)}),
+    "fidelity": ("overlap of two quantum triples", _PAIR, [],
+                 lambda _, p, q: {"fidelity": fidelity(p, q)}),
+    "convert": ("triple to density matrix, spinor or complex number", _STATE,
+                [("--to", {"choices": ("density", "spinor", "complex"),
+                           "default": "density"})], _convert),
+    "superpose": ("superpose two pure states", (*_PAIR, ("w", "weights")), [],
+                  _superpose),
+    "partner": ("orthogonal partner of a pure state", _STATE,
+                [("--sign", {"choices": ("+", "-"), "default": "+"})],
+                lambda args, p: orthogonal_partner(p, args.sign).to_json_dict()),
+    "triada": ("Malevich square side lengths", _STATE, [],
+               lambda _, p: dict(zip(("L1", "L2", "L3"), triada_sides(p).sides()))),
+    "render": ("render the triada as SVG", _STATE,
+               [("--scale", {"type": float, "default": 100.0}),
+                ("--labels", {"action": "store_true"}), ("--out", {})], _render),
+    "sample": ("simulate coin flips and estimate the triple", _STATE,
+               [("--n", {"type": int, "required": True}), ("--seed", {"type": int}),
+                ("--flips", {"help": "write the flip stream to this CSV"})], _sample),
+    "mean": ("quantum mean of a coin observable", _STATE,
+             [*((f"--{name}", {"type": float}) for name in ("x", "y", "z1", "z2")),
+              ("--obs", {"help": "observable JSON file {x, y, z1, z2}"})], _mean),
 }
 
 
+def _parser(name: str | None) -> _Parser:
+    """The parser with the subparser of table entry `name` only, or with
+    every subparser (for the usage message) when `name` is None."""
+    parser = _Parser(prog="coinqubit", description=__doc__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for command in _COMMANDS if name is None else (name,):
+        help_text, slots, extra, _ = _COMMANDS[command]
+        subparser = sub.add_parser(command, help=help_text)
+        for prefix, path_flag in slots:
+            for i in (1, 2, 3):
+                subparser.add_argument(f"--{prefix}{i}", type=float)
+            subparser.add_argument(f"--{path_flag}")
+        for flag, options in extra:
+            subparser.add_argument(flag, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        _DISPATCH[args.subcommand](args)
+        name = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = _parser(name).parse_args(argv)
+        _, slots, _, handler = _COMMANDS[args.subcommand]
+        result = handler(args, *(_state_from(args, *slot) for slot in slots))
+        if result is not None:
+            sys.stdout.write(_dumps(result) + "\n")
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

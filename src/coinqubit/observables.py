@@ -16,6 +16,7 @@ from .errors import DomainError
 from .states import (
     MEAN_IDENTITY_TOL,
     ProbabilityTriple,
+    _number_field,
     _require_quantum,
     prob_to_density,
 )
@@ -54,12 +55,8 @@ class CoinObservable:
     def from_json_dict(cls, data: dict) -> "CoinObservable":
         if not isinstance(data, dict):
             raise DomainError("expected a JSON object with fields x, y, z1, z2")
-        try:
-            return cls(data["x"], data["y"], data["z1"], data["z2"])
-        except KeyError as exc:
-            raise DomainError(f"observable object is missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"observable fields must be numbers: {exc}") from exc
+        fields = ("x", "y", "z1", "z2")
+        return cls(*(_number_field(data, name, "observable") for name in fields))
 
 
 def classical_means(

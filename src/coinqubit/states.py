@@ -55,6 +55,23 @@ def _unit_interval(value: float, name: str) -> float:
     return value
 
 
+def _number_field(data: dict, name: str, kind: str) -> float:
+    """Field `name` of a parsed JSON object as a float.  Only JSON numbers
+    are read (a bool is not one); a missing field or an integer too large
+    for a float is a DomainError."""
+    if name not in data:
+        raise DomainError(f"{kind} object is missing field {name!r}")
+    value = data[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(
+            f"{kind} field {name!r} must be a number, got {type(value).__name__}"
+        )
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DomainError(f"{kind} field {name!r} overflows a float") from exc
+
+
 def _wrap_phase(phase: float) -> float:
     phase = math.fmod(phase, TWO_PI)
     if phase < 0.0:
@@ -95,16 +112,14 @@ class ProbabilityTriple:
 
     def classify(self) -> str:
         """Return 'pure', 'mixed' or 'classical'."""
-        r2 = self.radius2
-        if abs(r2 - 0.25) <= BALL_TOL:
+        if self.is_pure:
             return "pure"
-        if r2 > 0.25:
-            return "classical"
-        return "mixed"
+        return "mixed" if self.is_quantum else "classical"
 
     @property
     def is_quantum(self) -> bool:
-        return self.radius2 <= 0.25 + BALL_TOL
+        # the same excess over 1/4 as is_pure, so the two verdicts agree
+        return self.radius2 - 0.25 <= BALL_TOL
 
     @property
     def is_pure(self) -> bool:
@@ -117,12 +132,8 @@ class ProbabilityTriple:
     def from_json_dict(cls, data: dict) -> "ProbabilityTriple":
         if not isinstance(data, dict) or data.get("kind") != "coin-state":
             raise DomainError("expected a JSON object with kind 'coin-state'")
-        try:
-            return cls(data["p1"], data["p2"], data["p3"])
-        except KeyError as exc:
-            raise DomainError(f"coin-state object is missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"coin-state fields must be numbers: {exc}") from exc
+        fields = ("p1", "p2", "p3")
+        return cls(*(_number_field(data, name, "coin-state") for name in fields))
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coinqubit import (
+    CoinObservable,
     ProbabilityTriple,
     SuperpositionWeights,
+    classical_means,
     fidelity,
     purity,
+    quantum_mean,
     run_experiment,
     superpose_general,
     triada_sides,
@@ -77,6 +80,18 @@ BAD_FILE_CONTENTS = {
     "huge-int-field": json.dumps(
         {"kind": "coin-state", "p1": 10 ** 400, "p2": 0.5, "p3": 0.5,
          "x": 10 ** 400, "y": 0, "z1": 0, "z2": 0}
+    ),
+    "int-string-field": json.dumps(
+        {"kind": "coin-state", "p1": "1", "p2": 0.5, "p3": 0.5,
+         "x": "1", "y": 0, "z1": 0, "z2": 0}
+    ),
+    "float-string-field": json.dumps(
+        {"kind": "coin-state", "p1": 0.5, "p2": 0.5, "p3": "0.5",
+         "x": 0, "y": 0, "z1": 0, "z2": "0.5"}
+    ),
+    "bool-field": json.dumps(
+        {"kind": "coin-state", "p1": 1, "p2": True, "p3": 0.5,
+         "x": 0, "y": True, "z1": 0, "z2": 0}
     ),
 }
 
@@ -385,6 +400,25 @@ class TestMean:
         )
         assert payload["mean"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("coefficients", [
+        (1.0, 2.0, 3.0, -1.0),
+        (-0.0, -0.0, -0.0, -0.0),  # the sign of zero reaches the output
+    ])
+    def test_matches_library(self, capsys, coefficients):
+        p = ProbabilityTriple(0.6, 0.7, 0.8)
+        flags = [f"--{name}={value!r}"
+                 for name, value in zip(("x", "y", "z1", "z2"), coefficients)]
+        code, out, err = run_cli(
+            capsys, "mean", "--p1", "0.6", "--p2", "0.7", "--p3", "0.8", *flags
+        )
+        assert code == 0, err
+        payload = json.loads(out, parse_int=float)  # "-0" stays -0.0
+        obs = CoinObservable(*coefficients)
+        means = zip(payload["classical_means"].values(), classical_means(obs, p))
+        for value, want in means:
+            assert (value, math.copysign(1, value)) == (want, math.copysign(1, want))
+        assert payload["mean"] == quantum_mean(obs, p)
+
     def test_overflowing_mean_is_domain_error(self, capsys):
         code, out, err = run_cli(
             capsys, "mean", "--p1", "0.85", "--p2", "0.85", "--p3", "0.5",
@@ -435,6 +469,35 @@ class TestDispatch:
         )
         expected = ProbabilityTriple(value, 0.5, 0.5).radius2
         assert payload["radius2"] == expected
+
+
+TRANSCRIPT = json.loads((DATA_DIR / "cli_transcript.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "entry", TRANSCRIPT,
+    ids=[f"{i:02d}-{(e['argv'] or ['no-args'])[0]}" for i, e in enumerate(TRANSCRIPT)],
+)
+def test_golden_transcript(capsys, monkeypatch, tmp_path, entry):
+    """Replay of the argvs in data/cli_transcript.json.
+
+    An entry holds the argv ("{dir}" stands for a temporary directory), the
+    input files to write there, the environment, and the exit code.  Exit 0
+    compares stdout byte for byte, exit 2 the error code; exit 1 compares
+    the code alone, since argparse's wording differs between versions.
+    """
+    monkeypatch.delenv("COIN_QUBIT_SEED", raising=False)
+    for name, value in entry.get("env", {}).items():
+        monkeypatch.setenv(name, value)
+    for name, text in entry.get("files", {}).items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in entry["argv"]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == entry["exit"], err
+    if code == 0:
+        assert out == entry["stdout"]
+    elif code == 2:
+        assert json.loads(err)["error"]["code"] == entry["error"]
 
 
 # --------------------------------------------------------------- CLI fuzzing

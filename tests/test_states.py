@@ -1,5 +1,6 @@
 import ast
 import cmath
+import json
 import math
 import pathlib
 
@@ -26,6 +27,7 @@ from coinqubit import (
     purity,
     spinor_to_prob,
 )
+from coinqubit.cli import main
 from conftest import random_pure, random_quantum, random_valid
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -70,6 +72,32 @@ class TestClassification:
         kind, r2 = is_quantum(ProbabilityTriple(*triple))
         assert kind == expected_class
         assert r2 == pytest.approx(expected_r2, abs=1e-15)
+
+    def test_one_verdict_across_the_ball_tolerance(self, capsys):
+        # p2 = 0.9 -/+ 1.25e-9 puts radius2 - 1/4 at about -/+ BALL_TOL; walk
+        # p2 from 32 ulps below to 32 ulps above each edge.
+        seen = set()
+        for edge in (0.89999999875, 0.90000000125):
+            p2 = edge
+            for _ in range(32):
+                p2 = math.nextafter(p2, 0.0)
+            for _ in range(65):
+                p = ProbabilityTriple(0.8, p2, 0.5)
+                kind = p.classify()
+                assert (kind == "pure") == p.is_pure, p2
+                assert (kind != "classical") == p.is_quantum, p2
+                seen.add((edge, kind))
+                p2 = math.nextafter(p2, 1.0)
+        assert seen == {
+            (0.89999999875, "mixed"), (0.89999999875, "pure"),
+            (0.90000000125, "pure"), (0.90000000125, "classical"),
+        }
+        state = ["--p1", "0.8", "--p2", "0.90000000125", "--p3", "0.5"]
+        assert main(["check", *state]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "classical"
+        assert main(["purity", *state]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "classical-state"
 
     def test_eigenvalues_nonnegative_iff_quantum(self, rng):
         for _ in range(500):
