@@ -17,8 +17,6 @@ import re
 import sys
 
 from .errors import CoinQubitError, DomainError, NotOrthogonalError
-from .malevich import render_svg, triada_sides
-from .observables import CoinObservable, classical_means, quantum_mean
 from .states import (
     PATH_AGREE_TOL,
     ProbabilityTriple,
@@ -28,15 +26,9 @@ from .states import (
     prob_to_spinor,
     purity,
 )
-from .superposition import (
-    SuperpositionWeights,
-    orthogonal_partner,
-    superpose_general,
-    superpose_oracle,
-    superpose_orthogonal,
-    superpose_spinor,
-)
-from .tomography import AXES, _fold, _up_chunks, reconstruct, run_experiment
+
+# The handlers import the modules beyond errors and states themselves, so
+# a scalar subcommand such as check starts without loading them.
 
 SEED_ENV_VAR = "COIN_QUBIT_SEED"
 _NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -146,6 +138,14 @@ def _convert(args, p) -> dict:
 
 
 def _superpose(args, p, q, weights) -> dict:
+    from .superposition import (
+        SuperpositionWeights,
+        superpose_general,
+        superpose_oracle,
+        superpose_orthogonal,
+        superpose_spinor,
+    )
+
     w = SuperpositionWeights(weights)
     general = superpose_general(p, q, w)
     oracle = superpose_oracle(p, q, w)
@@ -170,7 +170,21 @@ def _superpose(args, p, q, weights) -> dict:
     }
 
 
+def _partner(args, p) -> dict:
+    from .superposition import orthogonal_partner
+
+    return orthogonal_partner(p, args.sign).to_json_dict()
+
+
+def _triada(args, p) -> dict:
+    from .malevich import triada_sides
+
+    return dict(zip(("L1", "L2", "L3"), triada_sides(p).sides()))
+
+
 def _render(args, p) -> None:
+    from .malevich import render_svg, triada_sides
+
     t = triada_sides(p)
     try:
         svg = render_svg(t, scale=args.scale, labels=args.labels)
@@ -184,6 +198,8 @@ def _render(args, p) -> None:
 
 
 def _sample(args, p) -> dict:
+    from .tomography import AXES, _fold, _up_chunks, reconstruct, run_experiment
+
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
@@ -230,6 +246,8 @@ def _sample(args, p) -> dict:
 
 
 def _mean(args, p) -> dict:
+    from .observables import CoinObservable, classical_means, quantum_mean
+
     coefficients = (args.x, args.y, args.z1, args.z2)
     if args.obs is not None:
         if any(v is not None for v in coefficients):
@@ -264,10 +282,8 @@ _COMMANDS = {
     "superpose": ("superpose two pure states", (*_PAIR, ("w", "weights")), [],
                   _superpose),
     "partner": ("orthogonal partner of a pure state", _STATE,
-                [("--sign", {"choices": ("+", "-"), "default": "+"})],
-                lambda args, p: orthogonal_partner(p, args.sign).to_json_dict()),
-    "triada": ("Malevich square side lengths", _STATE, [],
-               lambda _, p: dict(zip(("L1", "L2", "L3"), triada_sides(p).sides()))),
+                [("--sign", {"choices": ("+", "-"), "default": "+"})], _partner),
+    "triada": ("Malevich square side lengths", _STATE, [], _triada),
     "render": ("render the triada as SVG", _STATE,
                [("--scale", {"type": float, "default": 100.0}),
                 ("--labels", {"action": "store_true"}), ("--out", {})], _render),

@@ -13,10 +13,9 @@ the unit square and reaches its maximum sqrt(2) at corners such as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .states import SIDE_TOL, SPILL_TOL, ProbabilityTriple
+from .states import SIDE_TOL, SPILL_TOL, ProbabilityTriple, _Frozen, _set
 
 SIDE_MAX = math.sqrt(2.0)
 
@@ -26,22 +25,19 @@ _FILLS = ("black", "red", "white")
 _MARGIN = 10.0
 
 
-@dataclass(frozen=True)
-class MalevichTriada:
+class MalevichTriada(_Frozen):
     """Side lengths of the black, red and white squares."""
 
-    L1: float
-    L2: float
-    L3: float
+    __slots__ = ("L1", "L2", "L3")
 
-    def __post_init__(self) -> None:
-        for name in ("L1", "L2", "L3"):
-            value = float(getattr(self, name))
+    def __init__(self, L1: float, L2: float, L3: float) -> None:
+        for name, value in zip(self.__slots__, (L1, L2, L3)):
+            value = float(value)
             if not 0.0 <= value <= SIDE_MAX + SIDE_TOL:
                 raise DomainError(
                     f"{name} must lie in [0, sqrt(2)], got {value!r}"
                 )
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     def sides(self) -> tuple[float, float, float]:
         return self.L1, self.L2, self.L3

@@ -8,16 +8,19 @@ three classical means.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
+import sys
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .states import (
     MEAN_IDENTITY_TOL,
     ProbabilityTriple,
+    _Frozen,
     _number_field,
     _require_quantum,
+    _set,
     prob_to_density,
 )
 
@@ -27,21 +30,17 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class CoinObservable:
+class CoinObservable(_Frozen):
     """Values of the coin random variables: (x, -x), (y, -y), (z1, z2)."""
 
-    x: float
-    y: float
-    z1: float
-    z2: float
+    __slots__ = ("x", "y", "z1", "z2")
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z1", "z2"):
-            value = float(getattr(self, name))
+    def __init__(self, x: float, y: float, z1: float, z2: float) -> None:
+        for name, value in zip(self.__slots__, (x, y, z1, z2)):
+            value = float(value)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     def matrix(self) -> np.ndarray:
         """Hermitian matrix [[z1, x - i y], [x + i y, z2]]."""
@@ -92,8 +91,14 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
         raise DomainError(f"mean overflows: classical sum {classical_sum}")
     import numpy as np
 
-    rho = prob_to_density(p).as_array()
-    trace = np.trace(rho @ obs.matrix())
+    # Real and imaginary parts of rho are at most 1 on the diagonal and 1/2
+    # off it, so with every coefficient at most c in size each term of
+    # rho @ H is at most c, each entry 2c and the trace 4c: numpy can only
+    # overflow, and warn about it, when c exceeds a quarter of the float maximum.
+    big = max(map(abs, (obs.x, obs.y, obs.z1, obs.z2))) > sys.float_info.max / 4
+    with (np.errstate(over="ignore", invalid="ignore") if big
+          else contextlib.nullcontext()):
+        trace = np.trace(prob_to_density(p).as_array() @ obs.matrix())
     value = float(trace.real)
     if not math.isfinite(value):
         raise DomainError(f"mean overflows: matrix trace {value}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ClassicalStateError, DomainError, NotPureError
@@ -72,6 +71,48 @@ def _number_field(data: dict, name: str, kind: str) -> float:
         raise DomainError(f"{kind} field {name!r} overflows a float") from exc
 
 
+_set = object.__setattr__  # how an __init__ stores a field of a _Frozen value
+
+
+class _Frozen:
+    """Immutable value whose fields are its ``__slots__``, in order.
+
+    Each subclass's ``__init__`` checks its arguments and stores them with
+    ``_set``.  Equality and hashing go field by field and hold only between
+    instances of one class; ``repr`` reads like a dataclass's, and pickling
+    and copying rebuild the value through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _wrap_phase(phase: float) -> float:
     phase = math.fmod(phase, TWO_PI)
     if phase < 0.0:
@@ -79,8 +120,7 @@ def _wrap_phase(phase: float) -> float:
     return phase if phase < TWO_PI else 0.0
 
 
-@dataclass(frozen=True)
-class ProbabilityTriple:
+class ProbabilityTriple(_Frozen):
     """Probabilities of the "up" outcome for the x, y and z coins.
 
     Any point of the unit cube is constructible; only the points inside the
@@ -89,14 +129,12 @@ class ProbabilityTriple:
     rejected by quantum-only operations, not by the constructor.
     """
 
-    p1: float
-    p2: float
-    p3: float
+    __slots__ = ("p1", "p2", "p3")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p1", _unit_interval(self.p1, "p1"))
-        object.__setattr__(self, "p2", _unit_interval(self.p2, "p2"))
-        object.__setattr__(self, "p3", _unit_interval(self.p3, "p3"))
+    def __init__(self, p1: float, p2: float, p3: float) -> None:
+        _set(self, "p1", _unit_interval(p1, "p1"))
+        _set(self, "p2", _unit_interval(p2, "p2"))
+        _set(self, "p3", _unit_interval(p3, "p3"))
 
     def vec(self) -> np.ndarray:
         import numpy as np
@@ -136,8 +174,7 @@ class ProbabilityTriple:
         return cls(*(_number_field(data, name, "coin-state") for name in fields))
 
 
-@dataclass(frozen=True)
-class DensityMatrix2:
+class DensityMatrix2(_Frozen):
     """Hermitian unit-trace 2x2 matrix.
 
     Hermiticity is exact by construction: only rho00, rho11 (real) and
@@ -146,18 +183,15 @@ class DensityMatrix2:
     outside the correlation ball map to indefinite matrices on purpose.
     """
 
-    rho00: float
-    rho01: complex
-    rho11: float
+    __slots__ = ("rho00", "rho01", "rho11")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho00", float(self.rho00))
-        object.__setattr__(self, "rho01", complex(self.rho01))
-        object.__setattr__(self, "rho11", float(self.rho11))
-        if abs(self.rho00 + self.rho11 - 1.0) > UNIT_TOL:
-            raise DomainError(
-                f"trace must be 1, got {self.rho00 + self.rho11!r}"
-            )
+    def __init__(self, rho00: float, rho01: complex, rho11: float) -> None:
+        rho00, rho01, rho11 = float(rho00), complex(rho01), float(rho11)
+        if abs(rho00 + rho11 - 1.0) > UNIT_TOL:
+            raise DomainError(f"trace must be 1, got {rho00 + rho11!r}")
+        _set(self, "rho00", rho00)
+        _set(self, "rho01", rho01)
+        _set(self, "rho11", rho11)
 
     @property
     def rho10(self) -> complex:
@@ -200,8 +234,7 @@ class DensityMatrix2:
         return cls(m[0, 0].real, m[0, 1], m[1, 1].real)
 
 
-@dataclass(frozen=True)
-class Spinor2:
+class Spinor2(_Frozen):
     """Normalized two-component spinor (a, b*exp(i*phase)) with a, b >= 0.
 
     The global phase is fixed to zero: the first component is real and
@@ -209,22 +242,20 @@ class Spinor2:
     the pole convention below.
     """
 
-    amplitude0: float
-    amplitude1: float
-    phase: float
+    __slots__ = ("amplitude0", "amplitude1", "phase")
 
-    def __post_init__(self) -> None:
-        a0 = float(self.amplitude0)
-        a1 = float(self.amplitude1)
+    def __init__(self, amplitude0: float, amplitude1: float, phase: float) -> None:
+        a0 = float(amplitude0)
+        a1 = float(amplitude1)
         if a0 < 0.0 or a1 < 0.0:
             raise DomainError("spinor amplitudes must be nonnegative")
         if abs(a0 * a0 + a1 * a1 - 1.0) > UNIT_TOL:
             raise DomainError(
                 f"spinor must be normalized, got |.|^2 = {a0 * a0 + a1 * a1!r}"
             )
-        object.__setattr__(self, "amplitude0", a0)
-        object.__setattr__(self, "amplitude1", a1)
-        object.__setattr__(self, "phase", _wrap_phase(float(self.phase)))
+        _set(self, "amplitude0", a0)
+        _set(self, "amplitude1", a1)
+        _set(self, "phase", _wrap_phase(float(phase)))
 
     def as_vector(self) -> np.ndarray:
         import numpy as np

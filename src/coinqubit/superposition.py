@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -37,8 +36,10 @@ from .states import (
     ORTHO_TOL,
     DensityMatrix2,
     ProbabilityTriple,
+    _Frozen,
     _pure_triple,
     _require_pure,
+    _set,
     coin_phase,
     density_to_prob,
     fidelity,
@@ -51,18 +52,18 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class SuperpositionWeights:
+class SuperpositionWeights(_Frozen):
     """Pure triple (Pi1, Pi2, Pi3) encoding the coefficient pair (c1, c2).
 
     lambda1 = Pi3 and lambda2 = 1 - Pi3 are the weights; the relative
     phase alpha is the azimuthal phase of the triple (0 at the poles).
     """
 
-    triple: ProbabilityTriple
+    __slots__ = ("triple",)
 
-    def __post_init__(self) -> None:
-        _require_pure(self.triple, "weight triple")
+    def __init__(self, triple: ProbabilityTriple) -> None:
+        _require_pure(triple, "weight triple")
+        _set(self, "triple", triple)
 
     @classmethod
     def from_probabilities(
@@ -91,12 +92,17 @@ class SuperpositionWeights:
         return cmath.rect(math.sqrt(self.lambda2), self.alpha)
 
 
-@dataclass(frozen=True)
-class SuperpositionResult:
-    state: ProbabilityTriple
-    normalization: float
-    path: str
-    fallback_used: bool = False
+class SuperpositionResult(_Frozen):
+    __slots__ = ("state", "normalization", "path", "fallback_used")
+
+    def __init__(
+        self, state: ProbabilityTriple, normalization: float, path: str,
+        fallback_used: bool = False,
+    ) -> None:
+        _set(self, "state", state)
+        _set(self, "normalization", normalization)
+        _set(self, "path", path)
+        _set(self, "fallback_used", fallback_used)
 
 
 def _as_weights(w) -> SuperpositionWeights:
@@ -148,9 +154,9 @@ def superpose_general(
     _require_pure(p, "first state")
     _require_pure(q, "second state")
     if p.p3 <= DIVISOR_TOL or q.p3 <= DIVISOR_TOL:
-        return replace(
-            superpose_oracle(p, q, w), path="general_closed_form", fallback_used=True
-        )
+        oracle = superpose_oracle(p, q, w)
+        return SuperpositionResult(oracle.state, oracle.normalization,
+                                   "general_closed_form", fallback_used=True)
 
     dp1, dp2 = p.p1 - 0.5, p.p2 - 0.5
     dq1, dq2 = q.p1 - 0.5, q.p2 - 0.5

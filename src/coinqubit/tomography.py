@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InsufficientDataError
 from .states import (
     DensityMatrix2,
     ProbabilityTriple,
+    _Frozen,
     _require_quantum,
+    _set,
     prob_to_density,
 )
 
@@ -61,14 +62,19 @@ class FlipRecord(namedtuple("FlipRecord", "axis outcome trial")):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(_Frozen):
     """Frequency estimate of a coin triple with per-axis error bars."""
 
-    p_hat: ProbabilityTriple
-    counts: tuple[int, int, int]
-    std_errors: tuple[float, float, float]
-    seed: int | None
+    __slots__ = ("p_hat", "counts", "std_errors", "seed")
+
+    def __init__(
+        self, p_hat: ProbabilityTriple, counts: tuple[int, int, int],
+        std_errors: tuple[float, float, float], seed: int | None,
+    ) -> None:
+        _set(self, "p_hat", p_hat)
+        _set(self, "counts", counts)
+        _set(self, "std_errors", std_errors)
+        _set(self, "seed", seed)
 
 
 _CHUNK = 1 << 16  # draws per chunk: 512 KiB of float64

@@ -694,3 +694,23 @@ def test_numpy_loads_only_where_arrays_are_built():
     assert json.loads(proc.stdout) == {
         "import": False, "scalar": False, "kernels": False, "sample": True,
     }
+
+
+def test_mean_near_the_float_maximum_prints_no_numpy_warning():
+    """rho @ H overflows in entries the trace does not use; the mean is
+    finite, so the run exits 0 with nothing on stderr."""
+    argv = ["mean", "--p1", "0.8030897743664331", "--p2", "0.5562247427610042",
+            "--p3", "0.2046799535196856", "--x=-1.6044439731884404e+308",
+            "--y", "1.2810589408249126e+308", "--z1=-1.739041242778847e+308",
+            "--z2", "1.0570772921152017e+308"]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinqubit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        '{"mean": -3.437588244578489e+307, "classical_means": '
+        '{"x": -9.725811236345358e+307, "y": 1.4405441881913041e+307, '
+        '"z": 4.8476788035755633e+307}}\n'
+    )
