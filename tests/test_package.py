@@ -115,12 +115,6 @@ def test_equality_is_type_strict():
     assert ProbabilityTriple(0.5, 0.5, 0.5) != ProbabilityTriple(0.5, 0.5, 0.25)
 
 
-def test_construction_still_checks_and_normalizes():
-    triple = ProbabilityTriple(p1=1, p2=-1e-13, p3=1 + 1e-13)
-    assert (triple.p1, triple.p2, triple.p3) == (1.0, 0.0, 1.0)
-    assert type(triple.p1) is float
-
-
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 
