@@ -34,7 +34,7 @@ SPILL_TOL = 1e-12  # absorbed rounding past p in [0, 1], |z| <= 1, det >= 0
 POLE_TOL = 1e-12  # hypot(p1 - 1/2, p2 - 1/2) at or below which the phase is 0
 DIVISOR_TOL = 1e-12  # closed-form divisors p3, p3(1-p3), sin(phi2-phi1)
 ANNIHILATION_TOL = 1e-12  # squared norm of a superposed vector that is zero
-MEAN_IDENTITY_TOL = 1e-12  # relative gap of Tr(rho H) from the classical sum
+MEAN_IDENTITY_TOL = 1e-12  # Tr(rho H) minus the classical sum, relative to its terms
 INTERFERENCE_TOL = 1e-14  # lam1*lam2 and Tr(rho1 rho0 rho2 rho0), as zero
 
 TWO_PI = 2.0 * math.pi

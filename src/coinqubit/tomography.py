@@ -10,12 +10,17 @@ Randomness comes from numpy's PCG64 seeded through a SeedSequence built
 from (seed, axis index), so the three per-axis streams are independent and
 every run is reproducible from the single 64-bit seed.  Each stream is
 drawn in fixed chunks, which give the same bits as one draw, so memory does
-not grow with the number of flips.
+not grow with the number of flips.  ``run_experiment`` counts up to one
+slice of each stream per CPU in parallel, entered with ``PCG64.advance``
+(one 64-bit output per double): its bits do not depend on the CPU count,
+and the draws in flight total one chunk.  ``sample_flips``,
+``sample_outcomes`` and the CLI's ``--flips`` writer stay serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -88,21 +93,25 @@ def _axis_rng(seed: int, axis_index: int) -> np.random.Generator:
 
 
 def _up_chunks(
-    p: ProbabilityTriple, n_per_axis: int, seed: int
+    p: ProbabilityTriple, n_per_axis: int, seed: int,
+    lo: int = 0, hi: int | None = None, chunk: int = _CHUNK,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(axis index, first trial, "up" booleans) per chunk, axis-major.
+    """(axis index, first trial, "up" booleans) per chunk of trials [lo, hi)
+    (all by default) of each axis, axis-major.
 
     The inputs are checked on the call, the draws made as chunks are read.
     """
     _require_quantum(p, "target state")
     if n_per_axis < 1:
         raise ValueError(f"n_per_axis must be positive, got {n_per_axis}")
+    hi = n_per_axis if hi is None else hi
 
     def chunks():
         for i, prob in enumerate((p.p1, p.p2, p.p3)):
             rng = _axis_rng(seed, i)
-            for start in range(0, n_per_axis, _CHUNK):
-                yield i, start, rng.random(min(_CHUNK, n_per_axis - start)) < prob
+            rng.bit_generator.advance(lo)  # one 64-bit output per double
+            for start in range(lo, hi, chunk):
+                yield i, start, rng.random(min(chunk, hi - start)) < prob
 
     return chunks()
 
@@ -154,13 +163,35 @@ def estimate(
     return _fold(ups.values(), totals.values(), seed)
 
 
+def _count_ups(chunks: Iterator[tuple[int, int, np.ndarray]]) -> list[int]:
+    ups = [0, 0, 0]
+    for i, _, up in chunks:
+        ups[i] += int(up.sum())
+    return ups
+
+
 def run_experiment(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> EstimateReport:
     """Sample and estimate in one pass, one chunk in memory at a time."""
-    ups = [0, 0, 0]
-    for i, _, up in _up_chunks(p, n_per_axis, seed):
-        ups[i] += int(up.sum())
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    parts = max(1, min(cpus, n_per_axis // _CHUNK))
+    ends = [n_per_axis * k // parts for k in range(parts + 1)]
+    slices = [
+        _up_chunks(p, n_per_axis, seed, lo, hi, _CHUNK // parts)
+        for lo, hi in zip(ends, ends[1:])
+    ]
+    if parts == 1:
+        counts = map(_count_ups, slices)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(parts) as pool:  # numpy releases the GIL
+            counts = list(pool.map(_count_ups, slices))
+    ups = [sum(axis) for axis in zip(*counts)]
     return _fold(ups, (n_per_axis,) * 3, seed)
 
 

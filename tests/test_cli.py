@@ -427,6 +427,21 @@ class TestMean:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "domain"
 
+    def test_terms_near_the_float_maximum_that_cancel(self, capsys):
+        """The identity check scales with the terms, not the small result."""
+        code, out, err = run_cli(
+            capsys, "mean", "--p1", "0.7723330615942896",
+            "--p2", "0.45957283234338875", "--p3", "0.3337336266561558",
+            "--x", "1.7905276991425794e+308", "--y", "9.869194917699231e+306",
+            "--z1=-8.337909217709147e+306", "--z2=-1.4100957455871298e+308",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"mean": -6.5676897196206957e+303, "classical_means": '
+            '{"x": 9.7523978035375541e+307, "y": -7.9796719514720498e+305, '
+            '"z": -9.6732578529947953e+307}}\n'
+        )
+
 
 class TestDispatch:
     def test_unknown_flag_is_usage_error(self, capsys):
@@ -714,3 +729,44 @@ def test_mean_near_the_float_maximum_prints_no_numpy_warning():
         '{"x": -9.725811236345358e+307, "y": 1.4405441881913041e+307, '
         '"z": 4.8476788035755633e+307}}\n'
     )
+
+
+THREAD_PROBE = """
+import contextlib, io, json, os, sys, threading
+from coinqubit import ProbabilityTriple, run_experiment
+from coinqubit.cli import main
+
+state = ["--p1", "1", "--p2", "0.5", "--p3", "0.5"]
+other = ["--q1", "0.5", "--q2", "1", "--q3", "0.5"]
+argvs = [
+    ["check", *state],
+    ["purity", *state],
+    ["fidelity", *state, *other],
+    ["convert", *state, "--to", "spinor"],
+    ["superpose", *state, *other, "--w1", "0.5", "--w2", "1", "--w3", "0.5"],
+    ["partner", *state],
+    ["triada", *state],
+    ["render", *state],
+    ["mean", *state, "--x", "1", "--y", "2", "--z1", "3", "--z2", "-1"],
+    ["sample", *state, "--n", "1000", "--seed", "7"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in argvs:
+        assert main(argv) == 0, argv
+seen = {"serial": ["concurrent.futures" in sys.modules, threading.active_count()]}
+os.sched_getaffinity = lambda pid: {0, 1}
+run_experiment(ProbabilityTriple(0.6, 0.5, 0.7), 2 * 65536, 7)
+seen["parallel"] = ["concurrent.futures" in sys.modules, threading.active_count()]
+print(json.dumps(seen))
+"""
+
+
+def test_serial_requests_start_no_thread():
+    """Below two chunks per axis run_experiment stays in the calling thread
+    and imports no executor; from two chunks on it joins its workers."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(proc.stdout) == {"serial": [False, 1], "parallel": [True, 1]}

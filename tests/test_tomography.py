@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import os
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -97,6 +99,71 @@ class TestChunkedDraw:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+
+class TestParallelCount:
+    """run_experiment counts one slice of each stream per CPU; the counts
+    equal those of one draw, whatever the CPU count."""
+
+    @pytest.fixture
+    def slices(self, monkeypatch):
+        """Pretend to have `cpus` CPUs; record (lo, hi, chunk) per slice."""
+        calls = []
+        real = tomography._up_chunks
+
+        def recording(p, n, seed, lo=0, hi=None, chunk=_CHUNK):
+            calls.append((lo, hi, chunk))
+            return real(p, n, seed, lo, hi, chunk)
+
+        def pretend(cpus):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+            monkeypatch.setattr(tomography, "_up_chunks", recording)
+            return calls
+
+        return pretend
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "n", [2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 7, 10**6 + 3]
+    )
+    def test_counts_equal_a_single_draw(self, slices, cpus, n):
+        calls = slices(cpus)
+        threads = threading.active_count()
+        report = run_experiment(PURE_TARGET, n, 41)
+        probs = (PURE_TARGET.p1, PURE_TARGET.p2, PURE_TARGET.p3)
+        ups = [int((_axis_rng(41, i).random(n) < prob).sum())
+               for i, prob in enumerate(probs)]
+        assert report.p_hat == ProbabilityTriple(*(up / n for up in ups))
+        assert report.counts == (n, n, n)
+        parts = min(cpus, n // _CHUNK)
+        assert [lo for lo, _, _ in calls] == [0] + [hi for _, hi, _ in calls[:-1]]
+        assert calls[-1][1] == n and len(calls) == parts
+        assert all(chunk * parts <= _CHUNK for _, _, chunk in calls)  # in flight
+        assert threading.active_count() == threads  # the workers were joined
+
+    def test_without_affinity_the_cpu_count_decides(self, monkeypatch, slices):
+        calls = slices(1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_experiment(PURE_TARGET, 2 * _CHUNK, 41)
+        assert len(calls) == 2
+
+    def test_a_failing_slice_fails_the_call(self, monkeypatch, slices):
+        slices(2)
+        recording = tomography._up_chunks
+
+        def failing(p, n, seed, lo=0, hi=None, chunk=_CHUNK):
+            chunks = recording(p, n, seed, lo, hi, chunk)
+            for item in chunks:
+                if lo > 0:
+                    raise RuntimeError("slice failed")
+                yield item
+
+        monkeypatch.setattr(tomography, "_up_chunks", failing)
+        with pytest.raises(RuntimeError, match="slice failed"):
+            run_experiment(PURE_TARGET, 2 * _CHUNK + 1, 41)
 
 
 class TestFlipRecord:
