@@ -103,9 +103,10 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
     value = float(trace.real)
     if not math.isfinite(value):
         raise DomainError(f"mean overflows: matrix trace {value}")
+    gap = abs(value - classical_sum)
     # rounding error scales with the terms, which can cancel in the result
-    scale = 1.0 + max(abs(value), *map(abs, means))
-    if not abs(value - classical_sum) < MEAN_IDENTITY_TOL * scale:
+    if not (gap < MEAN_IDENTITY_TOL * (1.0 + abs(value))
+            or gap < MEAN_IDENTITY_TOL * (1.0 + max(map(abs, means)))):
         raise ArithmeticError(
             f"matrix trace {value} and classical sum {classical_sum} disagree"
         )
