@@ -198,7 +198,9 @@ def _render(args, p) -> None:
 
 
 def _sample(args, p) -> dict:
-    from .tomography import AXES, _fold, _up_chunks, reconstruct, run_experiment
+    from .tomography import (
+        AXES, _csv_rows, _fold, _up_chunks, reconstruct, run_experiment,
+    )
 
     seed = args.seed
     if seed is None:
@@ -218,16 +220,15 @@ def _sample(args, p) -> dict:
     if args.n < 1:
         raise _UsageError("--n must be a positive integer")
     if args.flips:
+        import numpy as np
+
         chunks = _up_chunks(p, args.n, seed)  # checks p before the file exists
         ups = [0, 0, 0]
         with _open_output(args.flips, newline="") as handle:
             handle.write("trial,axis,outcome\r\n")
             for i, start, up in chunks:
-                ups[i] += int(up.sum())
-                ends = (f",{AXES[i]},down\r\n", f",{AXES[i]},up\r\n")
-                handle.write(
-                    "".join(f"{t}{ends[u]}" for t, u in enumerate(up.tolist(), start))
-                )
+                ups[i] += int(np.count_nonzero(up))
+                handle.write(_csv_rows(AXES[i], start, up))
         report = _fold(ups, (args.n,) * 3, seed)
     else:
         report = run_experiment(p, args.n, seed)

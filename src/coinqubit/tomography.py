@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -164,10 +165,32 @@ def estimate(
 
 
 def _count_ups(chunks: Iterator[tuple[int, int, np.ndarray]]) -> list[int]:
+    import numpy as np
+
     ups = [0, 0, 0]
     for i, _, up in chunks:
-        ups[i] += int(up.sum())
+        ups[i] += int(np.count_nonzero(up))
     return ups
+
+
+def _csv_rows(axis: str, start: int, up: np.ndarray) -> str:
+    """CRLF rows ``trial,axis,outcome`` of trials start, start + 1, ... with
+    "up" booleans `up`, built in one byte buffer whose rows are padded with
+    NUL to the last trial's width; NUL never occurs in the text."""
+    import numpy as np
+
+    width = len(str(start + len(up) - 1))
+    cells = np.empty((len(up), width + 9), np.uint8)
+    t = np.arange(start, start + len(up))
+    for k in range(width - 1, -1, -1):
+        t, digit = np.divmod(t, 10)
+        cells[:, k] = digit + 48
+    for j in range(len(str(start)), width):  # trials below 10**j: one digit short
+        cells[: 10**j - start, width - 1 - j] = 0
+    cells[:, width] = ord(",")
+    tails = np.frombuffer(f"{axis},down\r\n{axis},up\r\n\0\0".encode(), np.uint64)
+    cells[:, width + 1:].view(np.uint64)[:, 0] = tails[up.view(np.uint8)]
+    return cells[cells != 0].tobytes().decode("ascii")
 
 
 def run_experiment(
@@ -184,13 +207,24 @@ def run_experiment(
         _up_chunks(p, n_per_axis, seed, lo, hi, _CHUNK // parts)
         for lo, hi in zip(ends, ends[1:])
     ]
-    if parts == 1:
-        counts = map(_count_ups, slices)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    counts = [None] * parts
 
-        with ThreadPoolExecutor(parts) as pool:  # numpy releases the GIL
-            counts = list(pool.map(_count_ups, slices))
+    def count(k: int) -> None:
+        try:
+            counts[k] = _count_ups(slices[k])
+        except Exception as exc:  # raised below, after every join
+            counts[k] = exc
+
+    # plain threads: concurrent.futures would import logging (about 6 ms)
+    workers = [threading.Thread(target=count, args=(k,)) for k in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    count(0)  # numpy releases the GIL
+    for worker in workers:
+        worker.join()
+    for result in counts:
+        if isinstance(result, Exception):
+            raise result
     ups = [sum(axis) for axis in zip(*counts)]
     return _fold(ups, (n_per_axis,) * 3, seed)
 

@@ -90,6 +90,41 @@ class TestChunkedDraw:
         assert path.read_bytes() == ("trial,axis,outcome\r\n" + rows).encode()
         assert payload["p_hat"] == run_experiment(p, n, seed).p_hat.to_json_dict()
 
+    @pytest.mark.parametrize("p1, p2, p3, n", [
+        *((0.6, 0.5, 0.7, n) for n in (1, 9, 10, 11, 100001, 2 * _CHUNK + 1)),
+        (0.5, 0.5, 1.0, 1000),  # z is certain: every z row is up
+    ])
+    def test_flips_csv_bytes_equal_the_sample_flips_rows(
+        self, capsys, tmp_path, p1, p2, p3, n
+    ):
+        path = tmp_path / "flips.csv"
+        argv = ["sample", "--p1", str(p1), "--p2", str(p2), "--p3", str(p3),
+                "--n", str(n), "--seed", "3", "--flips", str(path)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        p = ProbabilityTriple(p1, p2, p3)
+        rows = "".join(
+            f"{f.trial},{f.axis},{f.outcome}\r\n" for f in sample_flips(p, n, 3)
+        )
+        assert path.read_bytes() == ("trial,axis,outcome\r\n" + rows).encode()
+        assert payload["p_hat"] == run_experiment(p, n, 3).p_hat.to_json_dict()
+
+    def test_flips_csv_memory_is_bounded(self, capsys, tmp_path):
+        def sample(n):
+            return main(["sample", "--p1", "0.6", "--p2", "0.5", "--p3", "0.7",
+                         "--n", str(n), "--seed", "3",
+                         "--flips", str(tmp_path / "flips.csv")])
+
+        assert sample(10) == 0  # import numpy before tracing
+        tracemalloc.start()
+        try:
+            assert sample(10**6) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 5 * 2**20
+
     def test_run_experiment_memory_is_bounded(self):
         run_experiment(PURE_TARGET, 10, 0)  # import numpy before tracing
         tracemalloc.start()
@@ -99,6 +134,22 @@ class TestChunkedDraw:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+
+class TestCsvRows:
+    """_csv_rows builds the bytes of one f-string per flip."""
+
+    @pytest.mark.parametrize("start", [0, 1, 9, 10, 95, 99990, 10**8 - 5, 10**12 - 3])
+    @pytest.mark.parametrize("length", [1, 20, _CHUNK])
+    @pytest.mark.parametrize("kind", ["up", "down", "mixed"])
+    def test_equal_to_one_f_string_per_flip(self, start, length, kind):
+        up = {"up": np.ones(length, bool), "down": np.zeros(length, bool),
+              "mixed": _axis_rng(start, 0).random(length) < 0.5}[kind]
+        expected = "".join(
+            f"{t},y,{'up' if u else 'down'}\r\n"
+            for t, u in enumerate(up.tolist(), start)
+        )
+        assert tomography._csv_rows("y", start, up) == expected
 
 
 class TestParallelCount:
