@@ -76,38 +76,23 @@ class TestChunkedDraw:
             expected = _axis_rng(77, i).random(n) < probs[i]
             np.testing.assert_array_equal(outcomes[axis], expected)
 
-    def test_flips_csv_holds_the_sample_flips_stream(self, capsys, tmp_path):
-        n, seed = _CHUNK + 1, 5
-        path = tmp_path / "flips.csv"
-        argv = ["sample", "--p1", "0.6", "--p2", "0.5", "--p3", "0.7",
-                "--n", str(n), "--seed", str(seed), "--flips", str(path)]
-        assert main(argv) == 0
-        payload = json.loads(capsys.readouterr().out)
-        p = ProbabilityTriple(0.6, 0.5, 0.7)
-        rows = "".join(
-            f"{f.trial},{f.axis},{f.outcome}\r\n" for f in sample_flips(p, n, seed)
-        )
-        assert path.read_bytes() == ("trial,axis,outcome\r\n" + rows).encode()
-        assert payload["p_hat"] == run_experiment(p, n, seed).p_hat.to_json_dict()
-
-    @pytest.mark.parametrize("p1, p2, p3, n", [
-        *((0.6, 0.5, 0.7, n) for n in (1, 9, 10, 11, 100001, 2 * _CHUNK + 1)),
-        (0.5, 0.5, 1.0, 1000),  # z is certain: every z row is up
+    @pytest.mark.parametrize("coins, n", [
+        *(pytest.param((0.6, 0.5, 0.7), n, id=f"n={n}")
+          for n in (1, 9, 10, 11, _CHUNK + 1, 100001, 2 * _CHUNK + 1)),
+        pytest.param((0.5, 0.5, 1.0), 1000, id="certain-z"),  # every z row is up
     ])
-    def test_flips_csv_bytes_equal_the_sample_flips_rows(
-        self, capsys, tmp_path, p1, p2, p3, n
-    ):
+    def test_flips_csv_holds_the_sample_flips_stream(self, capsys, tmp_path, coins, n):
         path = tmp_path / "flips.csv"
-        argv = ["sample", "--p1", str(p1), "--p2", str(p2), "--p3", str(p3),
-                "--n", str(n), "--seed", "3", "--flips", str(path)]
+        argv = ["sample", *(f"--p{i}={v}" for i, v in enumerate(coins, 1)),
+                "--n", str(n), "--seed", "5", "--flips", str(path)]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
-        p = ProbabilityTriple(p1, p2, p3)
+        p = ProbabilityTriple(*coins)
         rows = "".join(
-            f"{f.trial},{f.axis},{f.outcome}\r\n" for f in sample_flips(p, n, 3)
+            f"{f.trial},{f.axis},{f.outcome}\r\n" for f in sample_flips(p, n, 5)
         )
         assert path.read_bytes() == ("trial,axis,outcome\r\n" + rows).encode()
-        assert payload["p_hat"] == run_experiment(p, n, 3).p_hat.to_json_dict()
+        assert payload["p_hat"] == run_experiment(p, n, 5).p_hat.to_json_dict()
 
     def test_flips_csv_memory_is_bounded(self, capsys, tmp_path):
         def sample(n):
