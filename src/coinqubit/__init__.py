@@ -24,12 +24,12 @@ _MODULE_OF = {
         ("observables", "CoinObservable classical_means second_moments quantum_mean"),
         ("superposition", "SuperpositionWeights SuperpositionResult superpose_oracle "
                           "superpose_general superpose_orthogonal superpose_spinor "
-                          "assemble_projector_sum delta_decomposition "
-                          "orthogonal_partner unit_normalization_phase "
-                          "weights_for_phase"),
+                          "superpose_checked assemble_projector_sum "
+                          "delta_decomposition orthogonal_partner "
+                          "unit_normalization_phase weights_for_phase"),
         ("malevich", "MalevichTriada triada_sides render_svg"),
         ("tomography", "FlipRecord EstimateReport sample_outcomes sample_flips "
-                       "estimate run_experiment reconstruct"),
+                       "estimate run_experiment write_flips reconstruct"),
     )
     for name in names.split()
 }

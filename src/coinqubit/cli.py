@@ -16,9 +16,8 @@ import os
 import re
 import sys
 
-from .errors import CoinQubitError, DomainError, NotOrthogonalError
+from .errors import CoinQubitError, DomainError
 from .states import (
-    PATH_AGREE_TOL,
     ProbabilityTriple,
     coins_to_complex,
     fidelity,
@@ -81,12 +80,11 @@ def _load_json(path: str):
 
 
 @contextlib.contextmanager
-def _open_output(path: str, newline: str | None = None):
-    """Text file open for writing in a with block; an OSError from the open,
-    a write or the close is a DomainError."""
+def _writing(path: str):
+    """A with block in which an OSError (from opening, writing or closing
+    the output file `path`) is a DomainError."""
     try:
-        with open(path, "w", newline=newline, encoding="utf-8") as handle:
-            yield handle
+        yield
     except OSError as exc:
         raise DomainError(f"cannot write file {path!r}: {exc}") from exc
 
@@ -138,30 +136,9 @@ def _convert(args, p) -> dict:
 
 
 def _superpose(args, p, q, weights) -> dict:
-    from .superposition import (
-        SuperpositionWeights,
-        superpose_general,
-        superpose_oracle,
-        superpose_orthogonal,
-        superpose_spinor,
-    )
+    from .superposition import superpose_checked
 
-    w = SuperpositionWeights(weights)
-    general = superpose_general(p, q, w)
-    oracle = superpose_oracle(p, q, w)
-    paths = [general, oracle]
-    with contextlib.suppress(NotOrthogonalError):
-        paths += [superpose_orthogonal(p, q, w), superpose_spinor(p, q, w)]
-    ref = oracle.state
-    agree = all(
-        max(
-            abs(result.state.p1 - ref.p1),
-            abs(result.state.p2 - ref.p2),
-            abs(result.state.p3 - ref.p3),
-        )
-        < PATH_AGREE_TOL
-        for result in paths
-    )
+    general, agree = superpose_checked(p, q, weights)
     return {
         "result": general.state.to_json_dict(),
         "normalization": general.normalization,
@@ -191,16 +168,14 @@ def _render(args, p) -> None:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.out:
-        with _open_output(args.out) as handle:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
             handle.write(svg)
     else:
         sys.stdout.write(svg)
 
 
 def _sample(args, p) -> dict:
-    from .tomography import (
-        AXES, _csv_rows, _fold, _up_chunks, reconstruct, run_experiment,
-    )
+    from .tomography import AXES, reconstruct, run_experiment, write_flips
 
     seed = args.seed
     if seed is None:
@@ -220,16 +195,8 @@ def _sample(args, p) -> dict:
     if args.n < 1:
         raise _UsageError("--n must be a positive integer")
     if args.flips:
-        import numpy as np
-
-        chunks = _up_chunks(p, args.n, seed)  # checks p before the file exists
-        ups = [0, 0, 0]
-        with _open_output(args.flips, newline="") as handle:
-            handle.write("trial,axis,outcome\r\n")
-            for i, start, up in chunks:
-                ups[i] += int(np.count_nonzero(up))
-                handle.write(_csv_rows(AXES[i], start, up))
-        report = _fold(ups, (args.n,) * 3, seed)
+        with _writing(args.flips):
+            report = write_flips(p, args.n, seed, args.flips)
     else:
         report = run_experiment(p, args.n, seed)
     rho, verdict = reconstruct(report)

@@ -325,13 +325,16 @@ def fidelity(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
     )
 
 
+def _at_pole(p: ProbabilityTriple) -> bool:
+    """Whether p sits at a pole, where its azimuthal phase is 0 by convention."""
+    return math.hypot(p.p1 - 0.5, p.p2 - 0.5) <= POLE_TOL
+
+
 def coin_phase(p: ProbabilityTriple) -> float:
     """Azimuthal phase of a triple, in [0, 2*pi); 0 by convention at poles."""
-    dx = p.p1 - 0.5
-    dy = p.p2 - 0.5
-    if math.hypot(dx, dy) <= POLE_TOL:
+    if _at_pole(p):
         return 0.0
-    return _wrap_phase(math.atan2(dy, dx))
+    return _wrap_phase(math.atan2(p.p2 - 0.5, p.p1 - 0.5))
 
 
 def prob_to_spinor(p: ProbabilityTriple) -> Spinor2:
@@ -363,7 +366,8 @@ def complex_to_coins(z: complex) -> ProbabilityTriple:
     """Map a complex number with |z| <= 1 to a pure coin triple.
 
     p3 = |z|^2 and the phase of z fixes p1, p2 on the circle
-    (p1-1/2)^2 + (p2-1/2)^2 = p3(1-p3); the phase is 0 at the poles.
+    (p1-1/2)^2 + (p2-1/2)^2 = p3(1-p3); the phase is 0 where that triple
+    sits at a pole (see coin_phase).
     """
     z = complex(z)
     mag2 = abs(z) ** 2
@@ -371,7 +375,8 @@ def complex_to_coins(z: complex) -> ProbabilityTriple:
         raise DomainError(f"|z| must be <= 1, got |z| = {abs(z)!r}")
     p3 = min(mag2, 1.0)
     r = math.sqrt(p3 * (1.0 - p3))
-    return _pure_triple(p3, r, 0.0 if r <= POLE_TOL else cmath.phase(z))
+    p = _pure_triple(p3, r, cmath.phase(z))
+    return _pure_triple(p3, r, 0.0) if _at_pole(p) else p
 
 
 def coins_to_complex(p: ProbabilityTriple) -> complex:

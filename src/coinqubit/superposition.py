@@ -34,6 +34,7 @@ from .states import (
     DIVISOR_TOL,
     INTERFERENCE_TOL,
     ORTHO_TOL,
+    PATH_AGREE_TOL,
     DensityMatrix2,
     ProbabilityTriple,
     _Frozen,
@@ -342,18 +343,36 @@ def superpose_spinor(
         pi3 * (1.0 - p.p3)
     ) + cmath.exp(1j * (delta + mu)) * math.sqrt((1.0 - pi3) * (1.0 - q.p3))
     top2, bottom2 = abs(top) ** 2, abs(bottom) ** 2
+    # orthogonal inputs keep norm2 above about 1 - sqrt(ORTHO_TOL): never zero
     norm2 = top2 + bottom2
-    if norm2 <= ANNIHILATION_TOL:
-        raise DegenerateSuperpositionError(
-            "the superposed column vector has zero norm (exact destructive "
-            "interference); no qubit state exists"
-        )
     rho = DensityMatrix2(
         top2 / norm2, top * bottom.conjugate() / norm2, bottom2 / norm2
     )
     return SuperpositionResult(
         state=density_to_prob(rho), normalization=norm2, path="spinor_path"
     )
+
+
+def superpose_checked(
+    p: ProbabilityTriple, q: ProbabilityTriple, w
+) -> tuple[SuperpositionResult, bool]:
+    """The general path's result, and whether every path that applies (the
+    orthogonal and spinor paths only to orthogonal inputs) lies within
+    PATH_AGREE_TOL of the oracle in each coin."""
+    w = _as_weights(w)
+    general = superpose_general(p, q, w)
+    ref = superpose_oracle(p, q, w).state
+    paths = [general]
+    try:
+        paths += [superpose_orthogonal(p, q, w), superpose_spinor(p, q, w)]
+    except NotOrthogonalError:
+        pass
+    agree = all(
+        max(abs(r.state.p1 - ref.p1), abs(r.state.p2 - ref.p2),
+            abs(r.state.p3 - ref.p3)) < PATH_AGREE_TOL
+        for r in paths
+    )
+    return general, agree
 
 
 def orthogonal_partner(p: ProbabilityTriple, sign: str = "+") -> ProbabilityTriple:

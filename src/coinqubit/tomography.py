@@ -14,7 +14,7 @@ not grow with the number of flips.  ``run_experiment`` counts up to one
 slice of each stream per CPU in parallel, entered with ``PCG64.advance``
 (one 64-bit output per double): its bits do not depend on the CPU count,
 and the draws in flight total one chunk.  ``sample_flips``,
-``sample_outcomes`` and the CLI's ``--flips`` writer stay serial.
+``sample_outcomes`` and ``write_flips`` stay serial.
 """
 
 from __future__ import annotations
@@ -191,6 +191,25 @@ def _csv_rows(axis: str, start: int, up: np.ndarray) -> str:
     tails = np.frombuffer(f"{axis},down\r\n{axis},up\r\n\0\0".encode(), np.uint64)
     cells[:, width + 1:].view(np.uint64)[:, 0] = tails[up.view(np.uint8)]
     return cells[cells != 0].tobytes().decode("ascii")
+
+
+def write_flips(
+    p: ProbabilityTriple, n_per_axis: int, seed: int, path: str
+) -> EstimateReport:
+    """Write the ``sample_flips`` stream to the CSV file `path` (header
+    ``trial,axis,outcome``, CRLF rows) and return its estimate, which
+    equals ``run_experiment``'s; each flip is drawn once, one chunk in
+    memory at a time.  The inputs are checked before the file is created."""
+    chunks = _up_chunks(p, n_per_axis, seed)
+    import numpy as np
+
+    ups = [0, 0, 0]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("trial,axis,outcome\r\n")
+        for i, start, up in chunks:
+            ups[i] += int(np.count_nonzero(up))
+            handle.write(_csv_rows(AXES[i], start, up))
+    return _fold(ups, (n_per_axis,) * 3, seed)
 
 
 def run_experiment(

@@ -1,5 +1,6 @@
 """The package surface: lazy imports and the contract of the value types."""
 
+import ast
 import copy
 import json
 import os
@@ -156,3 +157,45 @@ def test_submodules_load_on_first_use():
         "star_missing": [],
         "star_is_attr": True,
     }
+
+
+def _names_and_strings(tree: ast.Module) -> tuple[set, set]:
+    """Every identifier a module defines, imports or reads, and every str
+    literal in it."""
+    names, strings = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+    return names, strings
+
+
+def test_the_cli_is_a_thin_shell():
+    """cli.py loads no numpy, imports no private name of the package and
+    leaves the path-agreement rule to superposition.py; the tomography fold,
+    its chunk stream, its CSV rows and the CSV header live in tomography.py
+    only."""
+    tomography_only = {"_fold", "_up_chunks", "_csv_rows"}
+    for path in sorted((SRC_DIR / "coinqubit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, strings = _names_and_strings(tree)
+        if path.name == "cli.py":
+            imported = [
+                (getattr(node, "module", None) or "", alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            ]
+            assert not [i for i in imported if "numpy" in (i[0] + i[1]).split(".")]
+            assert not [i for i in imported if i[1].startswith("_")]
+            assert not names & {"PATH_AGREE_TOL", "NotOrthogonalError"}
+        if path.name != "tomography.py":
+            assert not names & tomography_only, path.name
+            assert not [s for s in strings if "trial,axis,outcome" in s], path.name

@@ -28,6 +28,7 @@ from coinqubit import (
     spinor_to_prob,
 )
 from coinqubit.cli import main
+from coinqubit.states import POLE_TOL
 from conftest import random_pure, random_quantum, random_valid
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -292,6 +293,31 @@ class TestComplexCoins:
     def test_rejects_outside_disk(self):
         with pytest.raises(DomainError):
             complex_to_coins(1.0 + 1.0j)
+
+    def test_the_phase_is_dropped_where_coin_phase_reads_a_pole(self):
+        # the azimuth radius 1.000001e-12 is above POLE_TOL, but the triple's
+        # rounded hypot(p1 - 1/2, p2 - 1/2) is 9.9997e-13, at a pole
+        z = cmath.rect(1.000001e-12, 0.67)
+        p = complex_to_coins(z)
+        assert p == complex_to_coins(abs(z)) == ProbabilityTriple(
+            0.5 + 1.000001e-12, 0.5, 1.000002000001e-24
+        )
+        assert coin_phase(p) == 0.0 and coins_to_complex(p).imag == 0.0
+
+    @given(ppm=st.integers(-300, 300), ulps=st.integers(-64, 64),
+           phase=st.floats(0.001, 2.0 * math.pi - 0.001))
+    @settings(max_examples=400, deadline=None)
+    def test_one_pole_verdict_across_pole_tol(self, ppm, ulps, phase):
+        """|z| = POLE_TOL (1 + ppm 1e-6), moved by `ulps` steps of nextafter:
+        complex_to_coins keeps the phase of z exactly where coin_phase of
+        the triple it builds is nonzero.  Phases next to 0 mod 2*pi are left
+        out: there coin_phase rounds 2*pi - 1e-16 to 0, the nearest phase."""
+        mag = POLE_TOL * (1.0 + ppm * 1e-6)
+        for _ in range(abs(ulps)):
+            mag = math.nextafter(mag, math.copysign(math.inf, ulps))
+        z = cmath.rect(mag, phase)
+        p = complex_to_coins(z)
+        assert p == complex_to_coins(abs(z)) or coin_phase(p) != 0.0
 
     def test_circle_identities(self, rng):
         for _ in range(500):

@@ -10,12 +10,15 @@ from coinqubit import (
     NotOrthogonalError,
     NotPureError,
     ProbabilityTriple,
+    SuperpositionResult,
     SuperpositionWeights,
     assemble_projector_sum,
     delta_decomposition,
     fidelity,
     orthogonal_partner,
     prob_to_density,
+    prob_to_spinor,
+    superpose_checked,
     superpose_general,
     superpose_oracle,
     superpose_orthogonal,
@@ -23,6 +26,8 @@ from coinqubit import (
     unit_normalization_phase,
     weights_for_phase,
 )
+from coinqubit import superposition
+from coinqubit.states import ORTHO_TOL, PATH_AGREE_TOL
 from conftest import random_pure
 
 UP = ProbabilityTriple(0.5, 0.5, 1.0)
@@ -292,6 +297,99 @@ class TestSpinorPath:
             spinor = superpose_spinor(p, q, w)
             assert _max_diff(spinor, superpose_orthogonal(p, q, w)) < 1e-9
             assert _max_diff(spinor, superpose_oracle(p, q, w)) < 1e-9
+
+
+    def test_orthogonal_inputs_never_annihilate(self, rng):
+        """For inputs that pass the orthogonality check the column vector's
+        squared norm is 1 + 2 Re(c1 c2 <psi1|psi2>) >= 1 - sqrt(ORTHO_TOL),
+        so it never reaches ANNIHILATION_TOL.  q lies at overlap just under
+        ORTHO_TOL from p, and the weight phase turns c2 <psi1|psi2> against
+        c1, which nearly attains the bound."""
+        overlap = 0.99 * ORTHO_TOL
+        norms = []
+        for p in [UP, DOWN, *(random_pure(rng) for _ in range(300))]:
+            u = prob_to_spinor(p).as_vector()
+            v = (math.sqrt(overlap) * u + math.sqrt(1.0 - overlap)
+                 * np.array([u[1].conjugate(), -u[0].conjugate()]))
+            q = ProbabilityTriple(0.5 + (v[0] * v[1].conjugate()).real,
+                                  0.5 - (v[0] * v[1].conjugate()).imag,
+                                  abs(v[0]) ** 2)
+            assert fidelity(p, q) < ORTHO_TOL
+            w_phase = math.pi - np.angle(np.vdot(u, prob_to_spinor(q).as_vector()))
+            norms.append(
+                superpose_spinor(p, q, weights_for_phase(w_phase)).normalization
+            )
+        assert 1.0 - math.sqrt(ORTHO_TOL) < min(norms) < 1.0 - 0.99 * math.sqrt(overlap)
+
+
+def _old_rule(p, q, w):
+    """superpose's result and path agreement as the CLI computed them
+    before superpose_checked."""
+    w = SuperpositionWeights(w)
+    general = superpose_general(p, q, w)
+    oracle = superpose_oracle(p, q, w)
+    paths = [general, oracle]
+    try:
+        paths += [superpose_orthogonal(p, q, w), superpose_spinor(p, q, w)]
+    except NotOrthogonalError:
+        pass
+    return general, all(_max_diff(r, oracle) < PATH_AGREE_TOL for r in paths)
+
+
+def _outcome(rule, p, q, w):
+    try:
+        return rule(p, q, w)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _checked_cases(rng):
+    near_pole = ProbabilityTriple(
+        0.5 + 3e-7 * math.cos(1.0), 0.5 + 3e-7 * math.sin(1.0), 1e-13
+    )
+    plus = ProbabilityTriple(1.0, 0.5, 0.5)
+    cases = [
+        (UP, DOWN, EQUAL_WEIGHTS.triple),
+        (DOWN, UP, FIRST_ONLY.triple),
+        (near_pole, orthogonal_partner(near_pole),
+         weights_for_phase(2.0, 0.3).triple),
+        (plus, plus, weights_for_phase(math.pi).triple),  # annihilates
+        (UP, DOWN, ProbabilityTriple(0.0, 0.5, 0.5)),
+        (ProbabilityTriple(0.5, 0.5, 0.5), DOWN, EQUAL_WEIGHTS.triple),  # not pure
+        (UP, DOWN, ProbabilityTriple(0.5, 0.5, 0.5)),  # weights not pure
+        # p3 a few DIVISOR_TOL and normalization 0.015: the general path
+        # lies 1.4e-9 from the oracle, so the paths disagree
+        (ProbabilityTriple(0.5000013900918417, 0.4999987231106461,
+                           3.5628017508472857e-12),
+         ProbabilityTriple(0.39269277885260706, 0.38864307393773917,
+                           0.0245162512686804),
+         ProbabilityTriple(0.5497439217097553, 0.0025055548310435327,
+                           0.4950181048820833)),
+    ]
+    for _ in range(200):
+        p = random_pure(rng)
+        cases.append((p, random_pure(rng), random_pure(rng)))
+        cases.append((p, orthogonal_partner(p), random_pure(rng)))
+        cases.append((p, p, random_pure(rng)))
+    return cases
+
+
+class TestSuperposeChecked:
+    def test_equals_the_general_path_and_the_old_agreement_rule(self, rng):
+        verdicts = set()
+        for p, q, w in _checked_cases(rng):
+            outcome = _outcome(superpose_checked, p, q, w)
+            assert outcome == _outcome(_old_rule, p, q, w), (p, q, w)
+            verdicts.add(outcome[1] if isinstance(outcome[0], SuperpositionResult)
+                         else outcome[0])
+        assert verdicts >= {True, DegenerateSuperpositionError, NotPureError}
+
+    def test_the_orthogonal_paths_count_only_for_orthogonal_inputs(self, monkeypatch):
+        off = SuperpositionResult(ProbabilityTriple(0.5, 0.5, 0.5), 1.0, "spinor")
+        monkeypatch.setattr(superposition, "superpose_spinor", lambda p, q, w: off)
+        plus = ProbabilityTriple(1.0, 0.5, 0.5)
+        assert superpose_checked(UP, DOWN, EQUAL_WEIGHTS)[1] is False
+        assert superpose_checked(UP, plus, EQUAL_WEIGHTS)[1] is True
 
 
 class TestOrthogonalPartner:

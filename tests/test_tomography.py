@@ -19,6 +19,7 @@ from coinqubit import (
     run_experiment,
     sample_flips,
     sample_outcomes,
+    write_flips,
 )
 from coinqubit import tomography
 from coinqubit.cli import main
@@ -119,6 +120,40 @@ class TestChunkedDraw:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+
+class TestWriteFlips:
+    @pytest.mark.parametrize("n", [1, 9, _CHUNK + 1])
+    def test_file_holds_the_sample_flips_stream(self, tmp_path, n):
+        path = tmp_path / "flips.csv"
+        write_flips(PURE_TARGET, n, 5, str(path))
+        rows = "".join(
+            f"{f.trial},{f.axis},{f.outcome}\r\n"
+            for f in sample_flips(PURE_TARGET, n, 5)
+        )
+        assert path.read_bytes() == ("trial,axis,outcome\r\n" + rows).encode()
+
+    @pytest.mark.parametrize("n", [1, _CHUNK, 2 * _CHUNK + 1])
+    def test_report_equals_run_experiment(self, monkeypatch, tmp_path, n):
+        # two CPUs: run_experiment counts 2 * _CHUNK + 1 flips on threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        report = write_flips(PURE_TARGET, n, 9, str(tmp_path / "flips.csv"))
+        assert report == run_experiment(PURE_TARGET, n, 9)
+
+    @pytest.mark.parametrize("p, n, error", [
+        (ProbabilityTriple(1, 1, 1), 5, ClassicalStateError),
+        (PURE_TARGET, 0, ValueError),
+    ], ids=["classical-target", "no-flips"])
+    def test_bad_inputs_raise_before_the_file_exists(self, tmp_path, p, n, error):
+        path = tmp_path / "flips.csv"
+        with pytest.raises(error):
+            write_flips(p, n, 1, str(path))
+        assert not path.exists()
+
+    def test_an_unwritable_path_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            write_flips(PURE_TARGET, 5, 1, str(tmp_path / "missing" / "flips.csv"))
 
 
 class TestCsvRows:
