@@ -89,6 +89,30 @@ def _writing(path: str):
         raise DomainError(f"cannot write file {path!r}: {exc}") from exc
 
 
+def _write(stream, text: str) -> None:
+    """Write and flush `text` to the standard stream `stream`, which is None
+    when its descriptor was closed at start.  A failed write raises OSError
+    after pointing the descriptor at os.devnull, so that the flush at
+    interpreter exit does not fail again (Python's note on SIGPIPE)."""
+    if stream is None:
+        raise OSError("the stream is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
+
+
+def _report(text: str) -> None:
+    """Write `text` to stderr; a missing or failing stderr loses it, and
+    the exit code still tells the outcome."""
+    with contextlib.suppress(OSError):
+        _write(sys.stderr, text)
+
+
 def _state_from(args, prefix: str, path_flag: str) -> ProbabilityTriple:
     """Resolve one state from --<prefix>1/2/3 flags or a JSON file path."""
     path = getattr(args, path_flag)
@@ -159,7 +183,7 @@ def _triada(args, p) -> dict:
     return dict(zip(("L1", "L2", "L3"), triada_sides(p).sides()))
 
 
-def _render(args, p) -> None:
+def _render(args, p) -> str:
     from .malevich import render_svg, triada_sides
 
     t = triada_sides(p)
@@ -167,11 +191,11 @@ def _render(args, p) -> None:
         svg = render_svg(t, scale=args.scale, labels=args.labels)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if args.out:
-        with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(svg)
-    else:
-        sys.stdout.write(svg)
+    if not args.out:
+        return svg
+    with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(svg)
+    return ""
 
 
 def _sample(args, p) -> dict:
@@ -235,7 +259,7 @@ _PAIR = (("p", "state1"), ("q", "state2"))
 
 # name -> (help, state slots as (flag prefix, file flag), extra arguments as
 # (flag, add_argument keywords), handler(args, *states) returning the dict to
-# print, or None when it writes its own output).  Each slot adds the flags
+# print as JSON, or the text to print as it is).  Each slot adds the flags
 # --<prefix>1/2/3 and --<file flag>; main resolves the slots in order.
 _COMMANDS = {
     "check": ("classify a triple against the ball", _STATE, [],
@@ -288,15 +312,15 @@ def main(argv=None) -> int:
         args = _parser(name).parse_args(argv)
         _, slots, _, handler = _COMMANDS[args.subcommand]
         result = handler(args, *(_state_from(args, *slot) for slot in slots))
-        if result is not None:
-            sys.stdout.write(_dumps(result) + "\n")
+        text = result if isinstance(result, str) else _dumps(result) + "\n"
+        if text:
+            with _writing("<stdout>"):
+                _write(sys.stdout, text)
     except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
+        _report(f"usage error: {exc}\n")
         return 1
     except CoinQubitError as exc:
-        sys.stderr.write(
-            _dumps({"error": {"code": exc.code, "message": str(exc)}}) + "\n"
-        )
+        _report(_dumps({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
         return 2
     return 0
 

@@ -32,6 +32,7 @@ from .errors import (
 from .states import (
     ANNIHILATION_TOL,
     DIVISOR_TOL,
+    HANDOVER_TOL,
     INTERFERENCE_TOL,
     ORTHO_TOL,
     PATH_AGREE_TOL,
@@ -146,15 +147,17 @@ def superpose_general(
     """Closed-form addition rule for arbitrary pure inputs.
 
     Evaluates the normalization factor and the output probabilities purely
-    in terms of the nine input probabilities.  When either state sits at a
-    pole (p3 or q3 = 0) the closed forms are singular even though the
-    superposition is fine; the oracle silently takes over and the result
-    is flagged with ``fallback_used``.
+    in terms of the nine input probabilities.  The closed forms divide by
+    sqrt(p3) and sqrt(q3): singular at the pole p3 = 0, and near it they
+    magnify the rounding of the stored azimuth offsets (1.4e-9 from the
+    oracle at p3 = 3.6e-12 and normalization 0.015).  So when p3 or q3 is
+    at most HANDOVER_TOL the oracle takes over and the result is flagged
+    with ``fallback_used``.
     """
     w = _as_weights(w)
     _require_pure(p, "first state")
     _require_pure(q, "second state")
-    if p.p3 <= DIVISOR_TOL or q.p3 <= DIVISOR_TOL:
+    if p.p3 <= HANDOVER_TOL or q.p3 <= HANDOVER_TOL:
         oracle = superpose_oracle(p, q, w)
         return SuperpositionResult(oracle.state, oracle.normalization,
                                    "general_closed_form", fallback_used=True)
@@ -361,7 +364,7 @@ def superpose_checked(
     PATH_AGREE_TOL of the oracle in each coin."""
     w = _as_weights(w)
     general = superpose_general(p, q, w)
-    ref = superpose_oracle(p, q, w).state
+    ref = general.state if general.fallback_used else superpose_oracle(p, q, w).state
     paths = [general]
     try:
         paths += [superpose_orthogonal(p, q, w), superpose_spinor(p, q, w)]

@@ -241,6 +241,13 @@ class TestSuperpose:
          "--w1", repr(0.5 + math.sqrt(1e-13 * (1 - 1e-13)) * math.cos(2.0)),
          "--w2", repr(0.5 + math.sqrt(1e-13 * (1 - 1e-13)) * math.sin(2.0)),
          "--w3", "1e-13"],
+        # p3 3.6e-12 and normalization 0.015: the closed form would lie
+        # 1.4e-9 from the oracle, so the general rule hands over to it
+        ["--p1", "0.5000013900918417", "--p2", "0.4999987231106461",
+         "--p3", "3.5628017508472857e-12", "--q1", "0.39269277885260706",
+         "--q2", "0.38864307393773917", "--q3", "0.0245162512686804",
+         "--w1", "0.5497439217097553", "--w2", "0.0025055548310435327",
+         "--w3", "0.4950181048820833"],
     ])
     def test_paths_agree_on_edge_inputs(self, capsys, states):
         payload = run_json(capsys, "superpose", *states)
@@ -664,6 +671,54 @@ def test_every_argv_ends_in_a_clean_exit(fuzz_dir, data):
         assert isinstance(error["code"], str) and isinstance(error["message"], str)
     elif code == 0 and argv[0] != "render":  # render writes SVG, not JSON
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+class TestFailingStreams:
+    """A standard stream that is closed or fails ends in exit 2 (or in the
+    exit code the run would have had, when only stderr fails), never in a
+    traceback."""
+
+    CHECK = ["check", "--p1", "1", "--p2", "1", "--p3", "1"]
+
+    @staticmethod
+    def run(argv, redirect="", **kwargs):
+        """The CLI as a subprocess, its streams redirected by the POSIX
+        shell words `redirect`."""
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        return subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh",
+             sys.executable, "-m", "coinqubit.cli", *argv],
+            env=env, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
+        )
+
+    @staticmethod
+    def assert_error_object(proc):
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"]["code"] == "domain"
+
+    def test_pipe_closed_before_the_write(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(self.CHECK, stdout=write_end)
+        finally:
+            os.close(write_end)
+        self.assert_error_object(proc)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        argv = ["sample", "--p1", "0.7", "--p2", "0.5", "--p3", "0.5",
+                "--n", "10", "--seed", "1"]
+        self.assert_error_object(self.run(argv, ">/dev/full"))
+
+    def test_closed_stdout(self):
+        self.assert_error_object(self.run(self.CHECK, ">&-"))
+
+    def test_closed_stderr(self):
+        argv = ["purity", "--p1", "1", "--p2", "1", "--p3", "1"]  # classical
+        proc = self.run(argv, "2>&-", stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout) == (2, "")
 
 
 NUMPY_PROBE = """

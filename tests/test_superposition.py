@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinqubit import (
     DegeneratePhaseStateError,
@@ -27,7 +29,7 @@ from coinqubit import (
     weights_for_phase,
 )
 from coinqubit import superposition
-from coinqubit.states import ORTHO_TOL, PATH_AGREE_TOL
+from coinqubit.states import HANDOVER_TOL, ORTHO_TOL, PATH_AGREE_TOL
 from conftest import random_pure
 
 UP = ProbabilityTriple(0.5, 0.5, 1.0)
@@ -357,8 +359,8 @@ def _checked_cases(rng):
         (UP, DOWN, ProbabilityTriple(0.0, 0.5, 0.5)),
         (ProbabilityTriple(0.5, 0.5, 0.5), DOWN, EQUAL_WEIGHTS.triple),  # not pure
         (UP, DOWN, ProbabilityTriple(0.5, 0.5, 0.5)),  # weights not pure
-        # p3 a few DIVISOR_TOL and normalization 0.015: the general path
-        # lies 1.4e-9 from the oracle, so the paths disagree
+        # p3 a few 1e-12 and normalization 0.015: the closed form would lie
+        # 1.4e-9 from the oracle, so the general rule hands over to it
         (ProbabilityTriple(0.5000013900918417, 0.4999987231106461,
                            3.5628017508472857e-12),
          ProbabilityTriple(0.39269277885260706, 0.38864307393773917,
@@ -390,6 +392,58 @@ class TestSuperposeChecked:
         plus = ProbabilityTriple(1.0, 0.5, 0.5)
         assert superpose_checked(UP, DOWN, EQUAL_WEIGHTS)[1] is False
         assert superpose_checked(UP, plus, EQUAL_WEIGHTS)[1] is True
+
+    @pytest.mark.parametrize("q", [UP, ProbabilityTriple(1.0, 0.5, 0.5)])
+    def test_one_oracle_call_at_a_pole(self, monkeypatch, q):
+        """The general rule's hand-over result is the reference."""
+        calls = []
+        oracle = superposition.superpose_oracle
+        monkeypatch.setattr(superposition, "superpose_oracle",
+                            lambda *args: calls.append(args) or oracle(*args))
+        general, agree = superpose_checked(DOWN, q, EQUAL_WEIGHTS)
+        assert general.fallback_used and agree
+        assert len(calls) == 1
+
+
+def _on_circle(p3, phi):
+    r = math.sqrt(p3 * (1.0 - p3))
+    return ProbabilityTriple(0.5 + r * math.cos(phi), 0.5 + r * math.sin(phi), p3)
+
+
+def _weights_for_normalization(p, q, pi3, target):
+    """Weight triple of weight pi3 whose phase brings the normalization
+    1 + 2 sqrt(pi3 (1-pi3)) |<p|q>| cos(alpha + arg<p|q>) closest to target."""
+    overlap = np.vdot(prob_to_spinor(p).as_vector(), prob_to_spinor(q).as_vector())
+    reach = 2.0 * math.sqrt(pi3 * (1.0 - pi3)) * abs(overlap)
+    cos = 1.0 if reach == 0.0 else min(1.0, max(-1.0, (target - 1.0) / reach))
+    return weights_for_phase(math.acos(cos) - np.angle(overlap), pi3)
+
+
+class TestHandover:
+    @given(ulps=st.integers(-4, 4), phi=st.floats(0.0, 2.0 * math.pi),
+           q3=st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e),
+           phi_q=st.floats(0.0, 2.0 * math.pi), pi3=st.floats(0.01, 0.99),
+           target=st.floats(-2.0, 0.3).map(lambda e: 10.0 ** e),
+           swap=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_steps_across_the_tolerance(self, ulps, phi, q3, phi_q, pi3, target,
+                                        swap):
+        """p3 = HANDOVER_TOL moved by `ulps` steps of nextafter: the fallback
+        fires exactly at and below the tolerance, and on both sides the
+        general path lies within PATH_AGREE_TOL of the oracle down to
+        normalization 1e-2 (q3 from 1e-5 keeps q off the hand-over)."""
+        p3 = HANDOVER_TOL
+        for _ in range(abs(ulps)):
+            p3 = math.nextafter(p3, math.copysign(math.inf, ulps))
+        p, q = _on_circle(p3, phi), _on_circle(q3, phi_q)
+        if swap:
+            p, q = q, p
+        w = _weights_for_normalization(p, q, pi3, target)
+        general = superpose_general(p, q, w)
+        assert general.fallback_used == (ulps <= 0)
+        oracle = superpose_oracle(p, q, w)
+        if oracle.normalization >= 1e-2:
+            assert _max_diff(general, oracle) < PATH_AGREE_TOL
 
 
 class TestOrthogonalPartner:
