@@ -59,6 +59,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """A request for help; its one argument is the text to print."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -68,6 +72,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: A003 - argparse API
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # main writes the text to stdout
+        raise _Help(self.format_help())
 
 
 def _load_json(path: str):
@@ -104,13 +111,6 @@ def _write(stream, text: str) -> None:
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
         raise
-
-
-def _report(text: str) -> None:
-    """Write `text` to stderr; a missing or failing stderr loses it, and
-    the exit code still tells the outcome."""
-    with contextlib.suppress(OSError):
-        _write(sys.stderr, text)
 
 
 def _state_from(args, prefix: str, path_flag: str) -> ProbabilityTriple:
@@ -307,22 +307,28 @@ def _parser(name: str | None) -> _Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    code, report = 0, ""
     try:
-        name = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = _parser(name).parse_args(argv)
-        _, slots, _, handler = _COMMANDS[args.subcommand]
-        result = handler(args, *(_state_from(args, *slot) for slot in slots))
+        try:
+            name = argv[0] if argv and argv[0] in _COMMANDS else None
+            args = _parser(name).parse_args(argv)
+            _, slots, _, handler = _COMMANDS[args.subcommand]
+            result = handler(args, *(_state_from(args, *slot) for slot in slots))
+        except _Help as request:
+            result = str(request)
         text = result if isinstance(result, str) else _dumps(result) + "\n"
         if text:
             with _writing("<stdout>"):
                 _write(sys.stdout, text)
     except _UsageError as exc:
-        _report(f"usage error: {exc}\n")
-        return 1
+        code, report = 1, f"usage error: {exc}\n"
     except CoinQubitError as exc:
-        _report(_dumps({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
-        return 2
-    return 0
+        error = {"code": exc.code, "message": str(exc)}
+        code, report = 2, _dumps({"error": error}) + "\n"
+    if report:  # a missing or failing stderr loses the report, not the exit code
+        with contextlib.suppress(OSError):
+            _write(sys.stderr, report)
+    return code
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ HERMITIAN_TOL = 1e-10  # anti-Hermitian part of a matrix read as Hermitian
 UNIT_TOL = 1e-12  # |Tr rho - 1| of a matrix, ||psi|^2 - 1| of a spinor
 SPILL_TOL = 1e-12  # absorbed rounding past p in [0, 1], |z| <= 1, det >= 0
 POLE_TOL = 1e-12  # hypot(p1 - 1/2, p2 - 1/2) at or below which the phase is 0
-DIVISOR_TOL = 1e-12  # closed-form divisors p3(1-p3), sin(phi2-phi1)
+DIVISOR_TOL = 1e-12  # sin(phi2-phi1), divisor of unit_normalization_phase
 HANDOVER_TOL = 1e-6  # p3, q3 at or below which the general rule uses the oracle
 ANNIHILATION_TOL = 1e-12  # squared norm of a superposed vector that is zero
 MEAN_IDENTITY_TOL = 1e-12  # Tr(rho H) minus the classical sum, relative to its terms

@@ -39,6 +39,7 @@ from .states import (
     DensityMatrix2,
     ProbabilityTriple,
     _Frozen,
+    _at_pole,
     _pure_triple,
     _require_pure,
     _set,
@@ -405,10 +406,11 @@ def unit_normalization_phase(
     """
     _require_pure(p, "first state")
     _require_pure(q, "second state")
-    for name, value in (("p3", p.p3), ("q3", q.p3)):
-        if value * (1.0 - value) <= DIVISOR_TOL:
+    # p3 = 1 is the pole |0> even where BALL_TOL lets p1, p2 stray off it
+    for name, state in (("p3", p), ("q3", q)):
+        if _at_pole(state) or state.p3 == 1.0:
             raise DomainError(
-                f"{name} = {value} sits at a pole; the phase condition "
+                f"{name} = {state.p3} sits at a pole; the phase condition "
                 "is undefined there"
             )
     phi1 = coin_phase(p)

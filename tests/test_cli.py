@@ -459,6 +459,14 @@ class TestDispatch:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
 
+    def test_help_returns_0_with_the_text_on_stdout(self, capsys):
+        for argv in (["--help"], ["-h"], *([sub, "-h"] for sub in STATE_SLOTS)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            prog = "coinqubit" if len(argv) == 1 else f"coinqubit {argv[0]}"
+            assert out.startswith(f"usage: {prog} ")
+            assert "-h, --help" in out and out.endswith("\n")
+
     @pytest.mark.parametrize("argv, code", [
         (["check", "--p1", "-1e-13", "--p2", "0.5", "--p3", "0.5"], 0),
         (["mean", "--p1", "0.6", "--p2", "0.7", "--p3", "0.8", "--z2", "-1e3"], 0),
@@ -641,7 +649,8 @@ def cli_runs(draw, workdir):
             for flag in ("x", "y", "z1", "z2"):
                 maybe(flag, number_texts)
     if draw(st.integers(0, 19)) == 0:
-        argv.append(draw(st.sampled_from(["--bogus", "--n=1", "--q1=.5", "--labels"])))
+        argv.append(draw(st.sampled_from(
+            ["--bogus", "--n=1", "--q1=.5", "--labels", "-h", "--help"])))
     return argv, files
 
 
@@ -669,6 +678,9 @@ def test_every_argv_ends_in_a_clean_exit(fuzz_dir, data):
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())["error"]
         assert isinstance(error["code"], str) and isinstance(error["message"], str)
+    elif code == 0 and argv[-1] in ("-h", "--help"):
+        assert out.getvalue().startswith(f"usage: coinqubit {argv[0]} ")
+        assert err.getvalue() == ""
     elif code == 0 and argv[0] != "render":  # render writes SVG, not JSON
         json.loads(out.getvalue(), parse_constant=_reject_constant)
 
@@ -676,18 +688,20 @@ def test_every_argv_ends_in_a_clean_exit(fuzz_dir, data):
 class TestFailingStreams:
     """A standard stream that is closed or fails ends in exit 2 (or in the
     exit code the run would have had, when only stderr fails), never in a
-    traceback."""
+    traceback.  Help is printed through the same writer as a result, so it
+    fails on stdout the same way."""
 
+    ENTRY = ["-m", "coinqubit.cli"]
     CHECK = ["check", "--p1", "1", "--p2", "1", "--p3", "1"]
+    HELP = [["--help"], ["sample", "-h"]]
 
-    @staticmethod
-    def run(argv, redirect="", **kwargs):
+    def run(self, argv, redirect="", **kwargs):
         """The CLI as a subprocess, its streams redirected by the POSIX
         shell words `redirect`."""
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
         return subprocess.run(
             ["sh", "-c", f'exec "$@" {redirect}', "sh",
-             sys.executable, "-m", "coinqubit.cli", *argv],
+             sys.executable, *self.ENTRY, *argv],
             env=env, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
         )
 
@@ -698,27 +712,36 @@ class TestFailingStreams:
         assert json.loads(proc.stderr)["error"]["code"] == "domain"
 
     def test_pipe_closed_before_the_write(self):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = self.run(self.CHECK, stdout=write_end)
-        finally:
-            os.close(write_end)
-        self.assert_error_object(proc)
+        for argv in (self.CHECK, *self.HELP):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = self.run(argv, stdout=write_end)
+            finally:
+                os.close(write_end)
+            self.assert_error_object(proc)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device(self):
-        argv = ["sample", "--p1", "0.7", "--p2", "0.5", "--p3", "0.5",
-                "--n", "10", "--seed", "1"]
-        self.assert_error_object(self.run(argv, ">/dev/full"))
+        sample = ["sample", "--p1", "0.7", "--p2", "0.5", "--p3", "0.5",
+                  "--n", "10", "--seed", "1"]
+        for argv in (sample, *self.HELP):
+            self.assert_error_object(self.run(argv, ">/dev/full"))
 
     def test_closed_stdout(self):
-        self.assert_error_object(self.run(self.CHECK, ">&-"))
+        for argv in (self.CHECK, *self.HELP):
+            self.assert_error_object(self.run(argv, ">&-"))
 
     def test_closed_stderr(self):
         argv = ["purity", "--p1", "1", "--p2", "1", "--p3", "1"]  # classical
         proc = self.run(argv, "2>&-", stdout=subprocess.PIPE)
         assert (proc.returncode, proc.stdout) == (2, "")
+
+
+class TestFailingStreamsConsoleScript(TestFailingStreams):
+    """The same cases through the body of the installed `coinqubit` script."""
+
+    ENTRY = ["-c", "import sys; from coinqubit.cli import main; sys.exit(main())"]
 
 
 NUMPY_PROBE = """

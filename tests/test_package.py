@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 
@@ -199,3 +200,13 @@ def test_the_cli_is_a_thin_shell():
         if path.name != "tomography.py":
             assert not names & tomography_only, path.name
             assert not [s for s in strings if "trial,axis,outcome" in s], path.name
+
+
+def test_the_readme_library_tour_runs(tmp_path, monkeypatch):
+    """README's one python block runs as written; it writes flips.csv."""
+    readme = (SRC_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert (tmp_path / "flips.csv").read_text().startswith("trial,axis,outcome\n")

@@ -176,6 +176,28 @@ class TestGeneralClosedForm:
             result = superpose_general(p, q, weights_for_phase(alpha))
             assert result.normalization == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("p3", [1e-13, 1e-20, 1.0 - 1e-13])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_unit_normalization_next_to_a_pole(self, p3, swap):
+        """A state off the pole keeps its phase (see coin_phase), so the
+        phase condition is defined for it."""
+        p, q = _on_circle(p3, 1.0), _on_circle(0.4, 2.5)
+        if swap:
+            p, q = q, p
+        alpha = unit_normalization_phase(p, q)
+        result = superpose_general(p, q, weights_for_phase(alpha))
+        assert result.normalization == pytest.approx(1.0, abs=1e-10)
+
+    # the last pole is pure within BALL_TOL, with p1 off 1/2 and p3 = 1
+    @pytest.mark.parametrize("pole", [
+        UP, DOWN, ProbabilityTriple(0.5 + 1e-5, 0.5, 1.0),
+    ])
+    def test_unit_normalization_at_a_pole_is_undefined(self, pole):
+        other = _on_circle(0.4, 2.5)
+        for p, q in ((pole, other), (other, pole)):
+            with pytest.raises(DomainError, match="sits at a pole"):
+                unit_normalization_phase(p, q)
+
     def test_normalization_positive(self, rng):
         for _ in range(200):
             try:
@@ -444,6 +466,61 @@ class TestHandover:
         oracle = superpose_oracle(p, q, w)
         if oracle.normalization >= 1e-2:
             assert _max_diff(general, oracle) < PATH_AGREE_TOL
+
+
+def _orthogonality_sides(p, tilt):
+    """Adjacent floats lo < hi with fidelity(p, tilt(lo)) < ORTHO_TOL <=
+    fidelity(p, tilt(hi)), found by bisection from tilt(0), the antipode."""
+    lo, hi = 0.0, 1e-3
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        if fidelity(p, tilt(mid)) < ORTHO_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestOrthoTol:
+    @given(theta=st.floats(0.1, math.pi - 0.1), phi=st.floats(0.0, 2.0 * math.pi),
+           along_phi=st.booleans(), sign=st.sampled_from([-1.0, 1.0]),
+           pi3=st.floats(0.01, 0.99), alpha=st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=400, deadline=None)
+    def test_one_verdict_on_each_side(self, theta, phi, along_phi, sign, pi3,
+                                      alpha):
+        """q is tilted off the antipode of p by an angle bisected down to the
+        two adjacent floats either side of fidelity = ORTHO_TOL: on each side
+        the four orthogonal-input functions all raise NotOrthogonalError or
+        all succeed, and superpose_checked runs the orthogonal paths exactly
+        when they succeed."""
+        p = ProbabilityTriple(*_pure(theta, phi))
+
+        def tilt(angle):
+            if along_phi:
+                return ProbabilityTriple(*_pure(math.pi - theta,
+                                                phi + math.pi + sign * angle))
+            return ProbabilityTriple(*_pure(math.pi - theta + sign * angle,
+                                            phi + math.pi))
+
+        w = weights_for_phase(alpha, pi3)
+        paths = (superpose_orthogonal, superpose_spinor, assemble_projector_sum,
+                 delta_decomposition)
+        off = SuperpositionResult(ProbabilityTriple(0.5, 0.5, 0.5), 1.0, "spinor")
+        for angle, orthogonal in zip(_orthogonality_sides(p, tilt), (True, False)):
+            q = tilt(angle)
+            raised = []
+            for path in paths:
+                try:
+                    path(p, q, w)
+                except NotOrthogonalError:
+                    raised.append(path)
+            assert raised == ([] if orthogonal else list(paths))
+            ran = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(superposition, "superpose_spinor",
+                              lambda p, q, w: ran.append(1) or off)
+                agree = superpose_checked(p, q, w)[1]
+            assert (bool(ran), agree) == (orthogonal, not orthogonal)
 
 
 class TestOrthogonalPartner:
