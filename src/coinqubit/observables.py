@@ -99,7 +99,13 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
     big = max(map(abs, (obs.x, obs.y, obs.z1, obs.z2))) > sys.float_info.max / 4
     with (np.errstate(over="ignore", invalid="ignore") if big
           else contextlib.nullcontext()):
-        trace = np.trace(prob_to_density(p).as_array() @ obs.matrix())
+        prod = prob_to_density(p).as_array() @ obs.matrix()
+        # A ufunc sum, not np.trace: the zgemm behind this 2x2 complex
+        # matmul can leave the vector unit slowing later scalar float code
+        # (x ** 2 about 4x) until a SIMD ufunc runs, and np.trace is none.
+        # 0.0 + turns -0.0 into +0.0 as np.trace's sum does, so the bits
+        # equal np.trace's.
+        trace = np.add(prod[0, 0], 0.0 + prod[1, 1])
     value = float(trace.real)
     if not math.isfinite(value):
         raise DomainError(f"mean overflows: matrix trace {value}")

@@ -226,13 +226,14 @@ class DensityMatrix2(_Frozen):
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
+        (m00, m01), (m10, m11) = m.tolist()
         if (
-            abs(m[0, 0].imag) > HERMITIAN_TOL
-            or abs(m[1, 1].imag) > HERMITIAN_TOL
-            or abs(m[1, 0] - m[0, 1].conjugate()) > HERMITIAN_TOL
+            abs(m00.imag) > HERMITIAN_TOL
+            or abs(m11.imag) > HERMITIAN_TOL
+            or abs(m10 - m01.conjugate()) > HERMITIAN_TOL
         ):
             raise DomainError("matrix is not Hermitian")
-        return cls(m[0, 0].real, m[0, 1], m[1, 1].real)
+        return cls(m00.real, m01, m11.real)
 
 
 class Spinor2(_Frozen):

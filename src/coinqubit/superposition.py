@@ -127,16 +127,15 @@ def superpose_oracle(
     _require_pure(q, "second state")
     import numpy as np
 
-    v1 = prob_to_spinor(p).as_vector()
-    v2 = prob_to_spinor(q).as_vector()
-    chi = w.c1 * v1 + w.c2 * v2
+    kets = np.array([_ket(p), _ket(q)])
+    chi = w.c1 * kets[0] + w.c2 * kets[1]
     norm2 = float(np.vdot(chi, chi).real)
     if norm2 <= ANNIHILATION_TOL:
         raise DegenerateSuperpositionError(
             "the superposed vector has zero norm (exact destructive "
             "interference); no qubit state exists"
         )
-    rho = DensityMatrix2.from_array(np.outer(chi, chi.conj()) / norm2)
+    rho = DensityMatrix2.from_array(np.multiply.outer(chi, chi.conj()) / norm2)
     return SuperpositionResult(
         state=density_to_prob(rho), normalization=norm2, path="matrix_oracle"
     )

@@ -1,3 +1,8 @@
+import math
+import statistics
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -103,3 +108,69 @@ def test_classical_means_allow_classical_triples(rng):
     obs = CoinObservable(1, 1, 1, 1)
     for _ in range(20):
         classical_means(obs, random_valid(rng))
+
+
+def _trace_reference(obs, p):
+    """Tr(rho H) as np.trace of the matrix product, the printed bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.trace(prob_to_density(p).as_array() @ obs.matrix()).real)
+
+
+def test_quantum_mean_keeps_the_bits_of_np_trace(rng):
+    """The diagonal sum equals np.trace bit for bit, the sign of zero too."""
+    big = sys.float_info.max
+    points = [ProbabilityTriple(*p) for p in
+              ((0.5, 0.5, 0.5), (0.5, 0.5, 1.0), (0.5, 0.5, 0.0), (1.0, 0.5, 0.5))]
+    cases = [(CoinObservable(*signs), p) for p in points
+             for signs in ((-0.0,) * 4, (0.0,) * 4, (-0.0, 0.0, -0.0, 0.0))]
+    for _ in range(2000):
+        p = random_quantum(rng)
+        cases.append((CoinObservable(*rng.uniform(-2, 2, size=4)), p))
+        cases.append((CoinObservable(*(big * rng.uniform(-1, 1, size=4))), p))
+        cases.append((CoinObservable(*(big * rng.uniform(0.999, 1, size=4)
+                                       * rng.choice([-1.0, 1.0], size=4))), p))
+    means = 0
+    for obs, p in cases:
+        reference = _trace_reference(obs, p)
+        try:
+            value = quantum_mean(obs, p)
+        except DomainError:
+            assert not (math.isfinite(reference)
+                        and math.isfinite(sum(classical_means(obs, p))))
+            continue
+        means += 1
+        assert value == reference
+        assert math.copysign(1.0, value) == math.copysign(1.0, reference)
+    assert means > len(cases) // 2
+
+
+def _float_loop():
+    """Time of a fixed scalar loop through libm's pow."""
+    x = 1.5
+    start = time.perf_counter()
+    for _ in range(1000):
+        x ** 2
+    return time.perf_counter() - start
+
+
+def test_quantum_mean_leaves_scalar_floats_fast():
+    """A 2x2 complex matmul (OpenBLAS zgemm) can leave the vector unit in a
+    state that slows later scalar float code until a SIMD ufunc runs;
+    quantum_mean must not leave it so."""
+    m = np.array([[1.0, 2j], [3.0, 4.0]])
+    ket = np.ones(2, dtype=complex)
+    obs = CoinObservable(1.0, 2.0, 3.0, -1.0)
+    p = ProbabilityTriple(0.6, 0.7, 0.8)
+    clean, matmul, mean = [], [], []
+    for _ in range(200):
+        np.multiply(ket, ket)
+        clean.append(_float_loop())
+        m @ m
+        matmul.append(_float_loop())
+        np.multiply(ket, ket)
+        quantum_mean(obs, p)
+        mean.append(_float_loop())
+    clean_median = statistics.median(clean)
+    if statistics.median(matmul) < 2.0 * clean_median:
+        pytest.skip("a 2x2 complex matmul does not slow float code here")
+    assert statistics.median(mean) < 1.5 * clean_median

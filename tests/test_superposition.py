@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,9 +30,17 @@ from coinqubit import (
     weights_for_phase,
 )
 from coinqubit import superposition
-from coinqubit.states import HANDOVER_TOL, ORTHO_TOL, PATH_AGREE_TOL
+from coinqubit.states import (
+    ANNIHILATION_TOL,
+    HANDOVER_TOL,
+    ORTHO_TOL,
+    PATH_AGREE_TOL,
+    DensityMatrix2,
+    density_to_prob,
+)
 from conftest import random_pure
 
+EPS = sys.float_info.epsilon
 UP = ProbabilityTriple(0.5, 0.5, 1.0)
 DOWN = ProbabilityTriple(0.5, 0.5, 0.0)
 EQUAL_WEIGHTS = SuperpositionWeights(ProbabilityTriple(1.0, 0.5, 0.5))
@@ -125,6 +134,29 @@ class TestOracle:
                 SuperpositionWeights(random_pure(rng)),
             )
             assert abs(result.state.radius2 - 0.25) < 1e-9
+
+    def test_bits_of_the_two_vector_outer_form(self, rng):
+        """The oracle's state and normalization equal, bit for bit, the form
+        that built each spinor with as_vector and rho with np.outer."""
+
+        def reference(p, q, w):
+            chi = (w.c1 * prob_to_spinor(p).as_vector()
+                   + w.c2 * prob_to_spinor(q).as_vector())
+            norm2 = float(np.vdot(chi, chi).real)
+            m = np.outer(chi, chi.conj()) / norm2
+            rho = DensityMatrix2(m[0, 0].real, m[0, 1], m[1, 1].real)
+            return density_to_prob(rho), norm2
+
+        cases = [(UP, DOWN, EQUAL_WEIGHTS), (DOWN, UP, FIRST_ONLY),
+                 (UP, UP, EQUAL_WEIGHTS), (DOWN, DOWN, EQUAL_WEIGHTS)]
+        for _ in range(1000):
+            p = random_pure(rng)
+            w = SuperpositionWeights(random_pure(rng))
+            cases += [(p, random_pure(rng), w), (p, orthogonal_partner(p), w),
+                      (p, _on_circle(10.0 ** rng.uniform(-12, -6), 1.0), w)]
+        for p, q, w in cases:
+            result = superpose_oracle(p, q, w)
+            assert (result.state, result.normalization) == reference(p, q, w)
 
 
 class TestGeneralClosedForm:
@@ -521,6 +553,76 @@ class TestOrthoTol:
                               lambda p, q, w: ran.append(1) or off)
                 agree = superpose_checked(p, q, w)[1]
             assert (bool(ran), agree) == (orthogonal, not orthogonal)
+
+
+class TestAnnihilationTol:
+    """q = p with Pi3 = 1/2: the superposed vector (c1 + c2)|p> has squared
+    norm 1 + cos(alpha), which vanishes as the weight phase alpha -> pi.
+
+    The oracle and the general closed form cannot raise
+    DegenerateSuperpositionError on exactly the same inputs.  The oracle's
+    vdot squares the summed amplitudes, so near the tolerance its error is
+    relative to the norm, about 1e-22 here.  The closed form sums terms of
+    size 1 and p3 whose exact sum is the norm: the rounding of the stored
+    triples leaves it about eps / p3 off (at most 1.1 eps / p3 in a 20000-draw
+    scan), 2e-10 at p3 = 1e-6, above the tolerance itself.  So the verdicts
+    agree except where 1 + cos(alpha) lies within 4 eps / p3 of the
+    tolerance."""
+
+    @given(p3=st.floats(-6.0, 0.0, exclude_min=True, exclude_max=True)
+           .map(lambda e: 10.0 ** e)
+           .filter(lambda p3: HANDOVER_TOL < p3 < 1.0),
+           phi=st.floats(0.0, 2.0 * math.pi),
+           step=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)
+                          .map(lambda e: 10.0 ** e)))
+    @settings(max_examples=4000, deadline=None)
+    def test_one_verdict_outside_the_closed_form_rounding(self, p3, phi, step):
+        """alpha = pi - step * sqrt(2 ANNIHILATION_TOL), so 1 + cos(alpha)
+        meets the tolerance near step = 1 and is zero at step = 0."""
+        p = _on_circle(p3, phi)
+        w = weights_for_phase(
+            math.pi - step * math.sqrt(2.0 * ANNIHILATION_TOL), 0.5)
+        verdicts = []
+        for rule in (superpose_oracle, superpose_general):
+            try:
+                result = rule(p, p, w)
+            except DegenerateSuperpositionError:
+                verdicts.append(True)
+            except DomainError as exc:
+                # Not an annihilation verdict: near p3 = 1, where the norm
+                # is about 1e-10, the closed form's output coin can round
+                # past 1 + SPILL_TOL (p3 = 1 - 8e-16 gives 1.0000011).
+                assert rule is superpose_general
+                assert "must lie in [0, 1]" in str(exc)
+                verdicts.append(False)
+            else:
+                assert not result.fallback_used
+                verdicts.append(False)
+        norm2 = 2.0 * math.cos(w.alpha / 2.0) ** 2
+        if step == 0.0:
+            assert verdicts == [True, True]
+        if abs(norm2 - ANNIHILATION_TOL) > 4.0 * EPS / p3:
+            assert verdicts[0] == verdicts[1] == (norm2 <= ANNIHILATION_TOL)
+
+    def test_the_verdicts_split_inside_it(self):
+        """At p3 = 1e-5 a few weight phases next to the tolerance are
+        annihilated by one rule and not by the other."""
+        p = _on_circle(1e-5, 0.5)
+        splits = 0
+        for k in range(-20, 21):
+            w = weights_for_phase(
+                math.pi - (1.0 + k * 1e-3) * math.sqrt(2.0 * ANNIHILATION_TOL),
+                0.5)
+            verdicts = set()
+            for rule in (superpose_oracle, superpose_general):
+                try:
+                    rule(p, p, w)
+                except DegenerateSuperpositionError:
+                    verdicts.add(True)
+                else:
+                    verdicts.add(False)
+            splits += len(verdicts) == 2
+        assert splits > 0
 
 
 class TestOrthogonalPartner:
