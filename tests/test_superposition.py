@@ -555,6 +555,23 @@ class TestOrthoTol:
             assert (bool(ran), agree) == (orthogonal, not orthogonal)
 
 
+def _annihilates(rule, p, w):
+    """Whether rule(p, p, w) raises DegenerateSuperpositionError."""
+    try:
+        result = rule(p, p, w)
+    except DegenerateSuperpositionError:
+        return True
+    except DomainError as exc:
+        # Not an annihilation verdict: near p3 = 1, where the norm is about
+        # 1e-10, the closed form's output coin can round past 1 + SPILL_TOL
+        # (p3 = 1 - 8e-16 gives 1.0000011).
+        assert rule is superpose_general
+        assert "must lie in [0, 1]" in str(exc)
+        return False
+    assert not result.fallback_used
+    return False
+
+
 class TestAnnihilationTol:
     """q = p with Pi3 = 1/2: the superposed vector (c1 + c2)|p> has squared
     norm 1 + cos(alpha), which vanishes as the weight phase alpha -> pi.
@@ -582,27 +599,13 @@ class TestAnnihilationTol:
         p = _on_circle(p3, phi)
         w = weights_for_phase(
             math.pi - step * math.sqrt(2.0 * ANNIHILATION_TOL), 0.5)
-        verdicts = []
-        for rule in (superpose_oracle, superpose_general):
-            try:
-                result = rule(p, p, w)
-            except DegenerateSuperpositionError:
-                verdicts.append(True)
-            except DomainError as exc:
-                # Not an annihilation verdict: near p3 = 1, where the norm
-                # is about 1e-10, the closed form's output coin can round
-                # past 1 + SPILL_TOL (p3 = 1 - 8e-16 gives 1.0000011).
-                assert rule is superpose_general
-                assert "must lie in [0, 1]" in str(exc)
-                verdicts.append(False)
-            else:
-                assert not result.fallback_used
-                verdicts.append(False)
+        oracle = _annihilates(superpose_oracle, p, w)
+        general = _annihilates(superpose_general, p, w)
         norm2 = 2.0 * math.cos(w.alpha / 2.0) ** 2
         if step == 0.0:
-            assert verdicts == [True, True]
+            assert oracle and general
         if abs(norm2 - ANNIHILATION_TOL) > 4.0 * EPS / p3:
-            assert verdicts[0] == verdicts[1] == (norm2 <= ANNIHILATION_TOL)
+            assert oracle == general == (norm2 <= ANNIHILATION_TOL)
 
     def test_the_verdicts_split_inside_it(self):
         """At p3 = 1e-5 a few weight phases next to the tolerance are
@@ -613,15 +616,8 @@ class TestAnnihilationTol:
             w = weights_for_phase(
                 math.pi - (1.0 + k * 1e-3) * math.sqrt(2.0 * ANNIHILATION_TOL),
                 0.5)
-            verdicts = set()
-            for rule in (superpose_oracle, superpose_general):
-                try:
-                    rule(p, p, w)
-                except DegenerateSuperpositionError:
-                    verdicts.add(True)
-                else:
-                    verdicts.add(False)
-            splits += len(verdicts) == 2
+            splits += (_annihilates(superpose_oracle, p, w)
+                       != _annihilates(superpose_general, p, w))
         assert splits > 0
 
 
