@@ -33,8 +33,8 @@ UNIT_TOL = 1e-12  # |Tr rho - 1| of a matrix, ||psi|^2 - 1| of a spinor
 SPILL_TOL = 1e-12  # absorbed rounding past p in [0, 1], |z| <= 1, det >= 0
 POLE_TOL = 1e-12  # hypot(p1 - 1/2, p2 - 1/2) at or below which the phase is 0
 DIVISOR_TOL = 1e-12  # sin(phi2-phi1), divisor of unit_normalization_phase
-HANDOVER_TOL = 1e-6  # p3, q3 at or below which the general rule uses the oracle
-ANNIHILATION_TOL = 1e-12  # squared norm of a superposed vector that is zero
+HANDOVER_TOL = 1e-6  # p3, q3 or N*sqrt(min(p3, q3)) up to which the oracle is used
+ANNIHILATION_TOL = 1e-12  # squared norm of a superposed vector that is zero (oracle)
 MEAN_IDENTITY_TOL = 1e-12  # Tr(rho H) minus the classical sum, relative to its terms
 INTERFERENCE_TOL = 1e-14  # lam1*lam2 and Tr(rho1 rho0 rho2 rho0), as zero
 
@@ -188,8 +188,10 @@ class DensityMatrix2(_Frozen):
 
     def __init__(self, rho00: float, rho01: complex, rho11: float) -> None:
         rho00, rho01, rho11 = float(rho00), complex(rho01), float(rho11)
-        if abs(rho00 + rho11 - 1.0) > UNIT_TOL:
+        if not abs(rho00 + rho11 - 1.0) <= UNIT_TOL:
             raise DomainError(f"trace must be 1, got {rho00 + rho11!r}")
+        if not cmath.isfinite(rho01):
+            raise DomainError(f"rho01 must be finite, got {rho01!r}")
         _set(self, "rho00", rho00)
         _set(self, "rho01", rho01)
         _set(self, "rho11", rho11)
@@ -227,10 +229,10 @@ class DensityMatrix2(_Frozen):
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
         (m00, m01), (m10, m11) = m.tolist()
-        if (
-            abs(m00.imag) > HERMITIAN_TOL
-            or abs(m11.imag) > HERMITIAN_TOL
-            or abs(m10 - m01.conjugate()) > HERMITIAN_TOL
+        if not (
+            abs(m00.imag) <= HERMITIAN_TOL
+            and abs(m11.imag) <= HERMITIAN_TOL
+            and abs(m10 - m01.conjugate()) <= HERMITIAN_TOL
         ):
             raise DomainError("matrix is not Hermitian")
         return cls(m00.real, m01, m11.real)
@@ -247,17 +249,18 @@ class Spinor2(_Frozen):
     __slots__ = ("amplitude0", "amplitude1", "phase")
 
     def __init__(self, amplitude0: float, amplitude1: float, phase: float) -> None:
-        a0 = float(amplitude0)
-        a1 = float(amplitude1)
+        a0, a1, phase = float(amplitude0), float(amplitude1), float(phase)
         if a0 < 0.0 or a1 < 0.0:
             raise DomainError("spinor amplitudes must be nonnegative")
-        if abs(a0 * a0 + a1 * a1 - 1.0) > UNIT_TOL:
+        if not abs(a0 * a0 + a1 * a1 - 1.0) <= UNIT_TOL:
             raise DomainError(
                 f"spinor must be normalized, got |.|^2 = {a0 * a0 + a1 * a1!r}"
             )
+        if not math.isfinite(phase):
+            raise DomainError(f"spinor phase must be finite, got {phase!r}")
         _set(self, "amplitude0", a0)
         _set(self, "amplitude1", a1)
-        _set(self, "phase", _wrap_phase(float(phase)))
+        _set(self, "phase", _wrap_phase(phase))
 
     def as_vector(self) -> np.ndarray:
         import numpy as np
@@ -311,14 +314,16 @@ def _require_pure(p: ProbabilityTriple, role: str = "state") -> None:
 
 
 def purity(p: ProbabilityTriple) -> float:
-    """Purity 2*(1 + |p|^2 - p1 - p2 - p3), i.e. Tr rho^2. In [1/2, 1]."""
+    """Purity 2*(1 + |p|^2 - p1 - p2 - p3) = Tr rho^2, in [1/2, 1 + 2*BALL_TOL]:
+    not clamped where BALL_TOL lets a quantum triple lie outside the ball."""
     _require_quantum(p)
     dot = p.p1 * p.p1 + p.p2 * p.p2 + p.p3 * p.p3
     return 2.0 * (1.0 + dot - p.p1 - p.p2 - p.p3)
 
 
 def fidelity(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
-    """Overlap Tr(rho_p rho_q) as a closed form in the two triples."""
+    """Overlap Tr(rho_p rho_q) as a closed form in the two triples, in
+    [-2*BALL_TOL, 1 + 2*BALL_TOL]: not clamped, as purity is not."""
     _require_quantum(p, "first state")
     _require_quantum(q, "second state")
     dot = p.p1 * q.p1 + p.p2 * q.p2 + p.p3 * q.p3

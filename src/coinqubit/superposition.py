@@ -146,58 +146,49 @@ def superpose_general(
 ) -> SuperpositionResult:
     """Closed-form addition rule for arbitrary pure inputs.
 
-    Evaluates the normalization factor and the output probabilities purely
-    in terms of the nine input probabilities.  The closed forms divide by
-    sqrt(p3) and sqrt(q3): singular at the pole p3 = 0, and near it they
-    magnify the rounding of the stored azimuth offsets (1.4e-9 from the
-    oracle at p3 = 3.6e-12 and normalization 0.015).  So when p3 or q3 is
-    at most HANDOVER_TOL the oracle takes over and the result is flagged
-    with ``fallback_used``.
+    The closed forms divide by sqrt(p3) and sqrt(q3), and their coins err by
+    about 3e-16 / (N sqrt(min(p3, q3))) at normalization N.  So unless p3, q3
+    and N sqrt(min(p3, q3)) all exceed HANDOVER_TOL, or where that rounding
+    puts a coin out of [0, 1], the oracle takes over (it alone decides
+    annihilation) and the result is flagged with ``fallback_used``.
     """
     w = _as_weights(w)
     _require_pure(p, "first state")
     _require_pure(q, "second state")
-    if p.p3 <= HANDOVER_TOL or q.p3 <= HANDOVER_TOL:
-        oracle = superpose_oracle(p, q, w)
-        return SuperpositionResult(oracle.state, oracle.normalization,
-                                   "general_closed_form", fallback_used=True)
-
-    dp1, dp2 = p.p1 - 0.5, p.p2 - 0.5
-    dq1, dq2 = q.p1 - 0.5, q.p2 - 0.5
-    dw1, dw2 = w.triple.p1 - 0.5, w.triple.p2 - 0.5
-    pi3 = w.triple.p3
-    root_pq = math.sqrt(p.p3 * q.p3)
-
-    norm = 1.0 + (2.0 / root_pq) * (
-        dw1 * (dp1 * dq1 + dq2 * dp2 + p.p3 * q.p3)
-        + dw2 * (dp2 * dq1 - dp1 * dq2)
-    )
-    if norm <= ANNIHILATION_TOL:
-        raise DegenerateSuperpositionError(
-            "the closed-form normalization vanishes (exact destructive "
-            "interference); no qubit state exists"
+    if p.p3 > HANDOVER_TOL and q.p3 > HANDOVER_TOL:
+        dp1, dp2 = p.p1 - 0.5, p.p2 - 0.5
+        dq1, dq2 = q.p1 - 0.5, q.p2 - 0.5
+        dw1, dw2 = w.triple.p1 - 0.5, w.triple.p2 - 0.5
+        pi3 = w.triple.p3
+        root_pq = math.sqrt(p.p3 * q.p3)
+        norm = 1.0 + (2.0 / root_pq) * (
+            dw1 * (dp1 * dq1 + dq2 * dp2 + p.p3 * q.p3)
+            + dw2 * (dp2 * dq1 - dp1 * dq2)
         )
-
-    root_qp = math.sqrt(q.p3 / p.p3)
-    root_pq_ratio = math.sqrt(p.p3 / q.p3)
-    out3 = (pi3 * p.p3 + (1.0 - pi3) * q.p3 + 2.0 * root_pq * dw1) / norm
-    out1 = 0.5 + (
-        pi3 * dp1
-        + dq1 * (1.0 - pi3)
-        + (dw1 * dp1 + dw2 * dp2) * root_qp
-        + (dw1 * dq1 - dw2 * dq2) * root_pq_ratio
-    ) / norm
-    out2 = 0.5 + (
-        dp2 * pi3
-        + dq2 * (1.0 - pi3)
-        + root_qp * (dw1 * dp2 - dw2 * dp1)
-        + root_pq_ratio * (dw2 * dq1 + dw1 * dq2)
-    ) / norm
-    return SuperpositionResult(
-        state=ProbabilityTriple(out1, out2, out3),
-        normalization=norm,
-        path="general_closed_form",
-    )
+        if norm * math.sqrt(min(p.p3, q.p3)) > HANDOVER_TOL:
+            root_qp = math.sqrt(q.p3 / p.p3)
+            root_pq_ratio = math.sqrt(p.p3 / q.p3)
+            out3 = (pi3 * p.p3 + (1.0 - pi3) * q.p3 + 2.0 * root_pq * dw1) / norm
+            out1 = 0.5 + (
+                pi3 * dp1
+                + dq1 * (1.0 - pi3)
+                + (dw1 * dp1 + dw2 * dp2) * root_qp
+                + (dw1 * dq1 - dw2 * dq2) * root_pq_ratio
+            ) / norm
+            out2 = 0.5 + (
+                dp2 * pi3
+                + dq2 * (1.0 - pi3)
+                + root_qp * (dw1 * dp2 - dw2 * dp1)
+                + root_pq_ratio * (dw2 * dq1 + dw1 * dq2)
+            ) / norm
+            try:
+                return SuperpositionResult(ProbabilityTriple(out1, out2, out3),
+                                           norm, "general_closed_form")
+            except DomainError:  # a coin rounded more than SPILL_TOL past 0 or 1
+                pass
+    oracle = superpose_oracle(p, q, w)
+    return SuperpositionResult(oracle.state, oracle.normalization,
+                               "general_closed_form", fallback_used=True)
 
 
 def _require_orthogonal(p: ProbabilityTriple, q: ProbabilityTriple) -> None:

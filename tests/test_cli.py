@@ -248,6 +248,23 @@ class TestSuperpose:
          "--q2", "0.38864307393773917", "--q3", "0.0245162512686804",
          "--w1", "0.5497439217097553", "--w2", "0.0025055548310435327",
          "--w3", "0.4950181048820833"],
+        # a state superposed with itself near destructive interference
+        # (normalization 5e-12 and 1e-10): the closed form would lie 4.1e-5
+        # from the oracle, or leave [0, 1], so the general rule hands over
+        ["--p1=0.9133980490820579", "--p2=0.49817524763507715",
+         "--p3=0.7812449524772935", "--q1=0.9133980490820579",
+         "--q2=0.49817524763507715", "--q3=0.7812449524772935",
+         "--w1=2.5415225479719084e-12", "--w2=0.5000015942092942", "--w3=0.5"],
+        ["--p1", "0.50000002787752", "--p2", "0.5", "--p3", "0.9999999999999992",
+         "--q1", "0.50000002787752", "--q2", "0.5", "--q3", "0.9999999999999992",
+         "--w1", "5.000000413701855e-11", "--w2", "0.5000070710678117",
+         "--w3", "0.5"],
+        # |+x> with itself at normalization 2.7e-5: the closed form runs but
+        # rounds p1 to 1 + 1e-12, past SPILL_TOL, so the oracle takes over
+        ["--p1", "1", "--p2", "0.5", "--p3", "0.5",
+         "--q1", "1", "--q2", "0.5", "--q3", "0.5",
+         "--w1", "1.3738458930878661e-05", "--w2", "0.5037065172582416",
+         "--w3", "0.5"],
     ])
     def test_paths_agree_on_edge_inputs(self, capsys, states):
         payload = run_json(capsys, "superpose", *states)

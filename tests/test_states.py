@@ -28,7 +28,7 @@ from coinqubit import (
     spinor_to_prob,
 )
 from coinqubit.cli import main
-from coinqubit.states import POLE_TOL
+from coinqubit.states import BALL_TOL, POLE_TOL
 from conftest import random_pure, random_quantum, random_valid
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -219,6 +219,38 @@ class TestPurityAndFidelity:
     def test_fidelity_rejects_classical(self):
         with pytest.raises(ClassicalStateError):
             fidelity(ProbabilityTriple(1, 1, 1), ProbabilityTriple(0.5, 0.5, 0.5))
+
+    def test_values_inside_the_ball_tolerance_are_not_clamped(self, capsys):
+        """radius2 = 1/4 + 9e-10: purity lies in [1/2, 1 + 2 BALL_TOL] and
+        fidelity in [-2 BALL_TOL, 1 + 2 BALL_TOL], and both print unclamped."""
+        state = ["--p1", "1", "--p2", "0.50003", "--p3", "0.5"]
+        assert main(["purity", *state]) == 0
+        out = capsys.readouterr().out
+        assert out == '{"purity": 1.0000000017999997}\n'
+        assert 1.0 < json.loads(out)["purity"] <= 1.0 + 2.0 * BALL_TOL
+        assert main(["fidelity", *state,
+                     "--q1", "0", "--q2", "0.49997", "--q3", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert out == '{"fidelity": -1.8000001489326678e-09}\n'
+        assert -2.0 * BALL_TOL <= json.loads(out)["fidelity"] < 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda x: DensityMatrix2(x, 0.0, 0.5),
+    lambda x: DensityMatrix2(0.5, x, 0.5),
+    lambda x: DensityMatrix2(0.5, complex(0.0, x), 0.5),
+    lambda x: DensityMatrix2(0.5, 0.0, x),
+    lambda x: DensityMatrix2(x, 0.0, -x),
+    lambda x: DensityMatrix2.from_array(np.array([[0.5, x], [x, 0.5]])),
+    lambda x: Spinor2(x, 0.0, 0.0),
+    lambda x: Spinor2(1.0, x, 0.0),
+    lambda x: Spinor2(1.0, 0.0, x),
+], ids=["rho00", "rho01", "rho01.imag", "rho11", "rho00=-rho11", "from_array",
+        "amplitude0", "amplitude1", "phase"])
+def test_non_finite_fields_are_domain_errors(make, bad):
+    with pytest.raises(DomainError):
+        make(bad)
 
 
 class TestSpinorBijection:

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -40,7 +39,6 @@ from coinqubit.states import (
 )
 from conftest import random_pure
 
-EPS = sys.float_info.epsilon
 UP = ProbabilityTriple(0.5, 0.5, 1.0)
 DOWN = ProbabilityTriple(0.5, 0.5, 0.0)
 EQUAL_WEIGHTS = SuperpositionWeights(ProbabilityTriple(1.0, 0.5, 0.5))
@@ -473,19 +471,43 @@ def _weights_for_normalization(p, q, pi3, target):
     return weights_for_phase(math.acos(cos) - np.angle(overlap), pi3)
 
 
+def _or_annihilated(rule, p, q, w):
+    """rule(p, q, w), or None where it raises DegenerateSuperpositionError."""
+    try:
+        return rule(p, q, w)
+    except DegenerateSuperpositionError:
+        return None
+
+
+def _handover_sides(p):
+    """Adjacent floats lo < hi of the weight phase in [pi - 1, pi] with the
+    general rule superposing p with itself at equal weights by its closed
+    form at lo and by the oracle at hi, found by bisection."""
+    lo, hi = math.pi - 1.0, math.pi
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        general = _or_annihilated(superpose_general, p, p, weights_for_phase(mid, 0.5))
+        if general is None or general.fallback_used:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 class TestHandover:
     @given(ulps=st.integers(-4, 4), phi=st.floats(0.0, 2.0 * math.pi),
            q3=st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e),
            phi_q=st.floats(0.0, 2.0 * math.pi), pi3=st.floats(0.01, 0.99),
-           target=st.floats(-2.0, 0.3).map(lambda e: 10.0 ** e),
+           target=st.floats(-12.0, 0.3).map(lambda e: 10.0 ** e),
            swap=st.booleans())
     @settings(max_examples=400, deadline=None)
     def test_steps_across_the_tolerance(self, ulps, phi, q3, phi_q, pi3, target,
                                         swap):
         """p3 = HANDOVER_TOL moved by `ulps` steps of nextafter: the fallback
-        fires exactly at and below the tolerance, and on both sides the
-        general path lies within PATH_AGREE_TOL of the oracle down to
-        normalization 1e-2 (q3 from 1e-5 keeps q off the hand-over)."""
+        fires at and below the tolerance, and above it from normalization
+        1e-2 on it does not (q3 from 1e-5 keeps q off the hand-over).  At
+        every normalization the general path annihilates where the oracle
+        does and lies within PATH_AGREE_TOL of it elsewhere."""
         p3 = HANDOVER_TOL
         for _ in range(abs(ulps)):
             p3 = math.nextafter(p3, math.copysign(math.inf, ulps))
@@ -493,11 +515,57 @@ class TestHandover:
         if swap:
             p, q = q, p
         w = _weights_for_normalization(p, q, pi3, target)
-        general = superpose_general(p, q, w)
-        assert general.fallback_used == (ulps <= 0)
-        oracle = superpose_oracle(p, q, w)
-        if oracle.normalization >= 1e-2:
-            assert _max_diff(general, oracle) < PATH_AGREE_TOL
+        general = _or_annihilated(superpose_general, p, q, w)
+        oracle = _or_annihilated(superpose_oracle, p, q, w)
+        assert (general is None) == (oracle is None)
+        if oracle is None:
+            return
+        if ulps <= 0 or target >= 1e-2:
+            assert general.fallback_used == (ulps <= 0)
+        assert _max_diff(general, oracle) < PATH_AGREE_TOL
+
+    @given(p3=st.floats(-6.0, -1e-8, exclude_min=True)
+           .map(lambda e: 10.0 ** e).filter(lambda p3: p3 > HANDOVER_TOL),
+           phi=st.floats(0.1, math.pi / 2.0 - 0.1),
+           quadrant=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_steps_across_the_normalization_bound(self, p3, phi, quadrant):
+        """p superposed with itself at equal weights is p at every weight
+        phase alpha, at normalization N = 1 + cos(alpha).  On the two
+        adjacent phases either side of the hand-over the closed form runs
+        with N sqrt(p3) just above HANDOVER_TOL and the oracle's result is
+        taken just below it, both within PATH_AGREE_TOL of the oracle.  p3
+        below 1 - 2e-8 and phi off the axes keep p's coins far enough from 0
+        and 1 that the closed form's rounding cannot take one out of [0, 1]."""
+        p = _on_circle(p3, phi + quadrant * math.pi / 2.0)
+        lo, hi = _handover_sides(p)
+        closed = superpose_general(p, p, weights_for_phase(lo, 0.5))
+        handed = superpose_general(p, p, weights_for_phase(hi, 0.5))
+        oracle = superpose_oracle(p, p, weights_for_phase(hi, 0.5))
+        assert not closed.fallback_used and handed.fallback_used
+        assert closed.normalization * math.sqrt(p3) > HANDOVER_TOL
+        assert (handed.state, handed.normalization) == (oracle.state,
+                                                        oracle.normalization)
+        for result in (closed, handed):
+            assert math.isclose(result.normalization * math.sqrt(p3),
+                                HANDOVER_TOL, rel_tol=1e-6)
+            assert _max_diff(result, oracle) < PATH_AGREE_TOL
+
+    @pytest.mark.parametrize("p", [ProbabilityTriple(1.0, 0.5, 0.5),
+                                   ProbabilityTriple(0.5, 0.0, 0.5)])
+    def test_a_coin_rounded_out_of_range_hands_over(self, p):
+        """An axis state superposed with itself at normalization 2.7e-5:
+        N sqrt(p3) = 1.9e-5 lets the closed form run, but its rounding puts
+        the coin at 1 (or 0) past it by more than SPILL_TOL, so the oracle
+        takes over instead of a DomainError."""
+        w = weights_for_phase(math.pi - 0.007413102413009177, 0.5)
+        general = superpose_general(p, p, w)
+        oracle = superpose_oracle(p, p, w)
+        assert general.normalization * math.sqrt(p.p3) > HANDOVER_TOL
+        assert general.fallback_used
+        assert (general.state, general.normalization) == (oracle.state,
+                                                          oracle.normalization)
+        assert abs(general.state.vec() - p.vec()).max() < 1e-15
 
 
 def _orthogonality_sides(p, tilt):
@@ -555,36 +623,15 @@ class TestOrthoTol:
             assert (bool(ran), agree) == (orthogonal, not orthogonal)
 
 
-def _annihilates(rule, p, w):
-    """Whether rule(p, p, w) raises DegenerateSuperpositionError."""
-    try:
-        result = rule(p, p, w)
-    except DegenerateSuperpositionError:
-        return True
-    except DomainError as exc:
-        # Not an annihilation verdict: near p3 = 1, where the norm is about
-        # 1e-10, the closed form's output coin can round past 1 + SPILL_TOL
-        # (p3 = 1 - 8e-16 gives 1.0000011).
-        assert rule is superpose_general
-        assert "must lie in [0, 1]" in str(exc)
-        return False
-    assert not result.fallback_used
-    return False
-
-
 class TestAnnihilationTol:
     """q = p with Pi3 = 1/2: the superposed vector (c1 + c2)|p> has squared
     norm 1 + cos(alpha), which vanishes as the weight phase alpha -> pi.
 
-    The oracle and the general closed form cannot raise
-    DegenerateSuperpositionError on exactly the same inputs.  The oracle's
-    vdot squares the summed amplitudes, so near the tolerance its error is
-    relative to the norm, about 1e-22 here.  The closed form sums terms of
-    size 1 and p3 whose exact sum is the norm: the rounding of the stored
-    triples leaves it about eps / p3 off (at most 1.1 eps / p3 in a 20000-draw
-    scan), 2e-10 at p3 = 1e-6, above the tolerance itself.  So the verdicts
-    agree except where 1 + cos(alpha) lies within 4 eps / p3 of the
-    tolerance."""
+    Only the oracle decides annihilation: the general rule hands over to it
+    long before its own normalization gets near ANNIHILATION_TOL, so the
+    two give one verdict on every input.  The oracle's vdot errs relative
+    to the norm, about 1e-22 here, so its verdict is the exact one except
+    within a relative 1e-9 of the tolerance."""
 
     @given(p3=st.floats(-6.0, 0.0, exclude_min=True, exclude_max=True)
            .map(lambda e: 10.0 ** e)
@@ -593,32 +640,19 @@ class TestAnnihilationTol:
            step=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)
                           .map(lambda e: 10.0 ** e)))
     @settings(max_examples=4000, deadline=None)
-    def test_one_verdict_outside_the_closed_form_rounding(self, p3, phi, step):
+    def test_one_verdict(self, p3, phi, step):
         """alpha = pi - step * sqrt(2 ANNIHILATION_TOL), so 1 + cos(alpha)
         meets the tolerance near step = 1 and is zero at step = 0."""
         p = _on_circle(p3, phi)
         w = weights_for_phase(
             math.pi - step * math.sqrt(2.0 * ANNIHILATION_TOL), 0.5)
-        oracle = _annihilates(superpose_oracle, p, w)
-        general = _annihilates(superpose_general, p, w)
+        oracle = _or_annihilated(superpose_oracle, p, p, w) is None
+        assert (_or_annihilated(superpose_general, p, p, w) is None) == oracle
         norm2 = 2.0 * math.cos(w.alpha / 2.0) ** 2
         if step == 0.0:
-            assert oracle and general
-        if abs(norm2 - ANNIHILATION_TOL) > 4.0 * EPS / p3:
-            assert oracle == general == (norm2 <= ANNIHILATION_TOL)
-
-    def test_the_verdicts_split_inside_it(self):
-        """At p3 = 1e-5 a few weight phases next to the tolerance are
-        annihilated by one rule and not by the other."""
-        p = _on_circle(1e-5, 0.5)
-        splits = 0
-        for k in range(-20, 21):
-            w = weights_for_phase(
-                math.pi - (1.0 + k * 1e-3) * math.sqrt(2.0 * ANNIHILATION_TOL),
-                0.5)
-            splits += (_annihilates(superpose_oracle, p, w)
-                       != _annihilates(superpose_general, p, w))
-        assert splits > 0
+            assert oracle
+        if abs(norm2 - ANNIHILATION_TOL) > 1e-9 * ANNIHILATION_TOL:
+            assert oracle == (norm2 <= ANNIHILATION_TOL)
 
 
 class TestOrthogonalPartner:
