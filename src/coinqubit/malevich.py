@@ -23,6 +23,13 @@ SIDE_MAX = math.sqrt(2.0)
 # only the set of three colors is fixed.
 _FILLS = ("black", "red", "white")
 _MARGIN = 10.0
+# printf templates: %.3f and %.5f convert as the format specs .3f and .5f
+# do, so coordinates are fixed-point and the output is byte-stable
+_SVG_TAG = ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            'width="%.3f" height="%.3f" viewBox="0 0 %.3f %.3f">')
+_RECT = '<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f" fill="%s"%s/>'
+_LABEL = ('<text x="%.3f" y="%.3f" text-anchor="middle" '
+          'font-family="sans-serif" font-size="10">%.5f</text>')
 
 
 class MalevichTriada(_Frozen):
@@ -61,11 +68,6 @@ def triada_sides(p: ProbabilityTriple) -> MalevichTriada:
     )
 
 
-def _fmt(value: float) -> str:
-    """Fixed-point coordinate formatting so output is byte-stable."""
-    return f"{value:.3f}"
-
-
 def render_svg(
     triada: MalevichTriada, scale: float = 100.0, labels: bool = False
 ) -> str:
@@ -93,25 +95,10 @@ def render_svg(
     for size, fill, side in zip(sides, _FILLS, triada.sides()):
         if size > 0.0:
             stroke = ' stroke="black" stroke-width="1"' if fill == "white" else ""
-            body.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(baseline - size)}" '
-                f'width="{_fmt(size)}" height="{_fmt(size)}" '
-                f'fill="{fill}"{stroke}/>'
-            )
+            body.append(_RECT % (x, baseline - size, size, size, fill, stroke))
             if labels:
-                body.append(
-                    f'<text x="{_fmt(x + size / 2.0)}" '
-                    f'y="{_fmt(baseline + 14.0)}" text-anchor="middle" '
-                    f'font-family="sans-serif" font-size="10">'
-                    f"{side:.5f}</text>"
-                )
+                body.append(_LABEL % (x + size / 2.0, baseline + 14.0, side))
         x += size + gap
 
-    lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        *body,
-        "</svg>",
-    ]
+    lines = [_SVG_TAG % (width, height, width, height), *body, "</svg>"]
     return "\n".join(lines) + "\n"

@@ -44,15 +44,13 @@ TWO_PI = 2.0 * math.pi
 def _unit_interval(value: float, name: str) -> float:
     """Validate a probability, absorbing floating spill up to SPILL_TOL."""
     value = float(value)
+    if 0.0 <= value <= 1.0:  # nan and +-inf fail this and reach the checks below
+        return value
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
-    if -SPILL_TOL <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + SPILL_TOL:
-        return 1.0
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+    if -SPILL_TOL <= value <= 1.0 + SPILL_TOL:
+        return 0.0 if value < 0.0 else 1.0
+    raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _number_field(data: dict, name: str, kind: str) -> float:
@@ -326,6 +324,11 @@ def fidelity(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
     [-2*BALL_TOL, 1 + 2*BALL_TOL]: not clamped, as purity is not."""
     _require_quantum(p, "first state")
     _require_quantum(q, "second state")
+    return _overlap(p, q)
+
+
+def _overlap(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
+    """fidelity(p, q) without its checks."""
     dot = p.p1 * q.p1 + p.p2 * q.p2 + p.p3 * q.p3
     return (
         2.0 + 2.0 * dot - p.p1 - p.p2 - p.p3 - q.p1 - q.p2 - q.p3

@@ -40,13 +40,12 @@ from .states import (
     ProbabilityTriple,
     _Frozen,
     _at_pole,
+    _overlap,
     _pure_triple,
     _require_pure,
     _set,
     coin_phase,
     density_to_prob,
-    fidelity,
-    prob_to_spinor,
 )
 
 # numpy is imported inside the functions that build arrays, so the
@@ -125,6 +124,13 @@ def superpose_oracle(
     w = _as_weights(w)
     _require_pure(p, "first state")
     _require_pure(q, "second state")
+    return _oracle(p, q, w)
+
+
+def _oracle(
+    p: ProbabilityTriple, q: ProbabilityTriple, w: SuperpositionWeights
+) -> SuperpositionResult:
+    """superpose_oracle on inputs already checked pure."""
     import numpy as np
 
     kets = np.array([_ket(p), _ket(q)])
@@ -186,7 +192,7 @@ def superpose_general(
                                            norm, "general_closed_form")
             except DomainError:  # a coin rounded more than SPILL_TOL past 0 or 1
                 pass
-    oracle = superpose_oracle(p, q, w)
+    oracle = _oracle(p, q, w)
     return SuperpositionResult(oracle.state, oracle.normalization,
                                "general_closed_form", fallback_used=True)
 
@@ -195,7 +201,7 @@ def _require_orthogonal(p: ProbabilityTriple, q: ProbabilityTriple) -> None:
     """Check that p and q are pure and orthogonal."""
     _require_pure(p, "first state")
     _require_pure(q, "second state")
-    overlap = fidelity(p, q)
+    overlap = _overlap(p, q)
     if overlap >= ORTHO_TOL:
         raise NotOrthogonalError(
             f"input states must be orthogonal (<psi1|psi2> = 0); their "
@@ -226,9 +232,9 @@ def assemble_projector_sum(
 
 
 def _ket(p: ProbabilityTriple) -> tuple[complex, complex]:
-    """Components (a0, a1*e^{i*phase}) of the spinor of a pure triple."""
-    s = prob_to_spinor(p)
-    return complex(s.amplitude0), s.amplitude1 * cmath.exp(1j * s.phase)
+    """Components (a0, a1*e^{i*phase}) of prob_to_spinor(p), unchecked."""
+    a1 = math.sqrt(1.0 - p.p3)
+    return complex(math.sqrt(p.p3)), a1 * cmath.exp(1j * coin_phase(p))
 
 
 def _projector_sum(
@@ -355,7 +361,7 @@ def superpose_checked(
     PATH_AGREE_TOL of the oracle in each coin."""
     w = _as_weights(w)
     general = superpose_general(p, q, w)
-    ref = general.state if general.fallback_used else superpose_oracle(p, q, w).state
+    ref = general.state if general.fallback_used else _oracle(p, q, w).state
     paths = [general]
     try:
         paths += [superpose_orthogonal(p, q, w), superpose_spinor(p, q, w)]
@@ -421,5 +427,7 @@ def weights_for_phase(alpha: float, pi3: float = 0.5) -> SuperpositionWeights:
     """Pure weight triple with weight Pi3 and relative phase alpha."""
     if not 0.0 <= pi3 <= 1.0:
         raise DomainError(f"Pi3 must lie in [0, 1], got {pi3!r}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     r = math.sqrt(pi3 * (1.0 - pi3))
     return SuperpositionWeights(_pure_triple(pi3, r, alpha))

@@ -3,8 +3,11 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinqubit import MalevichTriada, ProbabilityTriple, render_svg, triada_sides
+from coinqubit.malevich import SIDE_MAX
 from conftest import random_valid
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -83,9 +86,73 @@ class TestRender:
         with pytest.raises(ValueError):
             render_svg(MalevichTriada(1.0, 1.0, 1.0), scale=0.0)
 
+    @given(sides=st.lists(st.one_of(st.just(0.0), st.floats(0.0, SIDE_MAX)),
+                          min_size=3, max_size=3),
+           log_scale=st.floats(-3.0, 3.0), labels=st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_f_string_rendering(self, sides, log_scale, labels):
+        triada = MalevichTriada(*sides)
+        scale = 10.0 ** log_scale
+        assert render_svg(triada, scale, labels) == _old_render_svg(
+            triada, scale, labels)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_overflow_matches_the_f_string_rendering(self, labels):
+        triada = MalevichTriada(1.0, SIDE_MAX, 0.5)
+        with pytest.raises(ValueError) as new:
+            render_svg(triada, 1e308, labels)
+        with pytest.raises(ValueError) as old:
+            _old_render_svg(triada, 1e308, labels)
+        assert str(new.value) == str(old.value) == "scale 1e+308 overflows the SVG coordinates"
+
     def test_golden_file(self):
         t = triada_sides(ProbabilityTriple(0.5, 0.5, 0.5))
         golden = (DATA_DIR / "triada_mixed_scale100_labels.svg").read_text(
             encoding="utf-8"
         )
         assert render_svg(t, scale=100.0, labels=True) == golden
+
+
+def _old_render_svg(triada, scale=100.0, labels=False):
+    """render_svg as it was written with f-strings, before its printf
+    templates."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    def fmt(value):
+        return f"{value:.3f}"
+
+    margin = 10.0
+    sides = [side * scale for side in triada.sides()]
+    gap = 0.25 * max(triada.sides()) * scale
+    baseline = margin + max(sides)
+    content_width = sum(sides) + 2.0 * gap
+    width = content_width + 2.0 * margin
+    height = baseline + (22.0 if labels else 0.0) + margin
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"scale {scale!r} overflows the SVG coordinates")
+    body = []
+    x = margin
+    for size, fill, side in zip(sides, ("black", "red", "white"), triada.sides()):
+        if size > 0.0:
+            stroke = ' stroke="black" stroke-width="1"' if fill == "white" else ""
+            body.append(
+                f'<rect x="{fmt(x)}" y="{fmt(baseline - size)}" '
+                f'width="{fmt(size)}" height="{fmt(size)}" '
+                f'fill="{fill}"{stroke}/>'
+            )
+            if labels:
+                body.append(
+                    f'<text x="{fmt(x + size / 2.0)}" '
+                    f'y="{fmt(baseline + 14.0)}" text-anchor="middle" '
+                    f'font-family="sans-serif" font-size="10">'
+                    f"{side:.5f}</text>"
+                )
+        x += size + gap
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{fmt(width)}" height="{fmt(height)}" '
+        f'viewBox="0 0 {fmt(width)} {fmt(height)}">',
+        *body,
+        "</svg>",
+    ]
+    return "\n".join(lines) + "\n"

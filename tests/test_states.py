@@ -28,7 +28,7 @@ from coinqubit import (
     spinor_to_prob,
 )
 from coinqubit.cli import main
-from coinqubit.states import BALL_TOL, POLE_TOL
+from coinqubit.states import BALL_TOL, POLE_TOL, SPILL_TOL, _unit_interval
 from conftest import random_pure, random_quantum, random_valid
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -57,6 +57,65 @@ class TestProbabilityTriple:
     def test_json_rejects_wrong_kind(self):
         with pytest.raises(DomainError):
             ProbabilityTriple.from_json_dict({"kind": "other", "p1": 0.5})
+
+
+def _old_unit_interval(value, name):
+    """_unit_interval as it was written before its in-range early return."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if -SPILL_TOL <= value < 0.0:
+        return 0.0
+    if 1.0 < value <= 1.0 + SPILL_TOL:
+        return 1.0
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
+def _unit_outcome(check, value):
+    try:
+        result = check(value, "p1")
+    except DomainError as exc:
+        return str(exc)
+    return type(result), result.hex()
+
+
+class TestUnitInterval:
+    def test_keeps_the_sign_of_negative_zero(self):
+        assert math.copysign(1.0, _unit_interval(-0.0, "p1")) == -1.0
+
+    @pytest.mark.parametrize("value, expected", [
+        (-SPILL_TOL, 0.0), (1.0 + SPILL_TOL, 1.0), (-1e-13, 0.0), (1.0 + 1e-13, 1.0),
+    ])
+    def test_absorbs_spill_up_to_the_tolerance(self, value, expected):
+        assert _unit_interval(value, "p1") == expected
+
+    @pytest.mark.parametrize("value", [
+        math.nextafter(-SPILL_TOL, -math.inf), math.nextafter(1.0 + SPILL_TOL, 2.0),
+    ])
+    def test_rejects_spill_past_the_tolerance(self, value):
+        with pytest.raises(DomainError, match=r"p1 must lie in \[0, 1\], got "):
+            _unit_interval(value, "p1")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(DomainError, match=f"^p1 must be finite, got {value!r}$"):
+            _unit_interval(value, "p1")
+
+    @pytest.mark.parametrize("value, expected", [
+        (0, 0.0), (1, 1.0), (True, 1.0), (False, 0.0), (np.float64(0.25), 0.25),
+    ])
+    def test_accepts_ints_bools_and_numpy_floats(self, value, expected):
+        result = _unit_interval(value, "p1")
+        assert type(result) is float and result == expected
+
+    @given(value=st.one_of(st.floats(), st.floats(-2e-12, 1.0 + 2e-12),
+                           st.integers(-3, 3), st.booleans()))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_old_checks(self, value):
+        assert _unit_outcome(_unit_interval, value) == _unit_outcome(
+            _old_unit_interval, value)
 
 
 class TestClassification:

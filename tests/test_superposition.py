@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from coinqubit import (
     unit_normalization_phase,
     weights_for_phase,
 )
-from coinqubit import superposition
+from coinqubit import states, superposition
 from coinqubit.states import (
     ANNIHILATION_TOL,
     HANDOVER_TOL,
@@ -41,6 +42,8 @@ from conftest import random_pure
 
 UP = ProbabilityTriple(0.5, 0.5, 1.0)
 DOWN = ProbabilityTriple(0.5, 0.5, 0.0)
+PLUS_TILT = weights_for_phase(1.0, 0.3).triple  # pure, off the poles
+MINUS_TILT = weights_for_phase(2.5, 0.8).triple
 EQUAL_WEIGHTS = SuperpositionWeights(ProbabilityTriple(1.0, 0.5, 0.5))
 FIRST_ONLY = SuperpositionWeights(ProbabilityTriple(0.5, 0.5, 1.0))
 
@@ -85,6 +88,36 @@ class TestWeights:
     def test_pole_convention(self):
         assert FIRST_ONLY.alpha == 0.0
         assert FIRST_ONLY.c2 == 0.0
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_weights_for_phase_rejects_a_non_finite_phase(self, alpha):
+        with pytest.raises(DomainError, match=f"alpha must be finite, got {alpha!r}"):
+            weights_for_phase(alpha)
+
+
+def _spinor_ket(p):
+    """The oracle's ket as it was built from prob_to_spinor."""
+    s = prob_to_spinor(p)
+    return complex(s.amplitude0), s.amplitude1 * cmath.exp(1j * s.phase)
+
+
+def _bits(ket):
+    return [x.hex() for z in ket for x in (z.real, z.imag)]
+
+
+class TestKet:
+    @pytest.mark.parametrize("p3", [0.0, 1.0, 1e-13, *(1.0 - 2.0 ** -k for k in
+                                                       (1, 2, 26, 52, 53))])
+    @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi, 5.5])
+    def test_matches_prob_to_spinor_at_the_edges(self, p3, phi):
+        p = _on_circle(p3, phi)
+        assert _bits(superposition._ket(p)) == _bits(_spinor_ket(p))
+
+    @given(p3=st.floats(0.0, 1.0), phi=st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_prob_to_spinor(self, p3, phi):
+        p = _on_circle(p3, phi)
+        assert _bits(superposition._ket(p)) == _bits(_spinor_ket(p))
 
 
 class TestOracle:
@@ -449,12 +482,34 @@ class TestSuperposeChecked:
     def test_one_oracle_call_at_a_pole(self, monkeypatch, q):
         """The general rule's hand-over result is the reference."""
         calls = []
-        oracle = superposition.superpose_oracle
-        monkeypatch.setattr(superposition, "superpose_oracle",
+        oracle = superposition._oracle
+        monkeypatch.setattr(superposition, "_oracle",
                             lambda *args: calls.append(args) or oracle(*args))
         general, agree = superpose_checked(DOWN, q, EQUAL_WEIGHTS)
         assert general.fallback_used and agree
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("call, p, q, count", [
+        (superpose_oracle, PLUS_TILT, MINUS_TILT, 2),
+        (superpose_orthogonal, PLUS_TILT, orthogonal_partner(PLUS_TILT), 2),
+        (superpose_general, DOWN, PLUS_TILT, 2),
+        (superpose_checked, PLUS_TILT, MINUS_TILT, 4),
+        (superpose_checked, PLUS_TILT, orthogonal_partner(PLUS_TILT), 6),
+        (superpose_checked, DOWN, UP, 6),
+    ], ids=["oracle", "orthogonal", "general-at-a-pole", "checked",
+            "checked-orthogonal", "checked-orthogonal-at-a-pole"])
+    def test_each_input_is_checked_pure_once_per_entry_point(
+        self, monkeypatch, call, p, q, count
+    ):
+        """Every public path checks p and q once; the checked rule calls the
+        general rule and the two orthogonal paths (not the public oracle)."""
+        calls = []
+        require_pure = states._require_pure
+        for module in (states, superposition):
+            monkeypatch.setattr(module, "_require_pure",
+                                lambda *args: calls.append(args) or require_pure(*args))
+        call(p, q, EQUAL_WEIGHTS)
+        assert len(calls) == count
 
 
 def _on_circle(p3, phi):
