@@ -107,10 +107,24 @@ class SuperpositionResult(_Frozen):
         _set(self, "fallback_used", fallback_used)
 
 
-def _as_weights(w) -> SuperpositionWeights:
-    if isinstance(w, SuperpositionWeights):
-        return w
-    return SuperpositionWeights(w)
+def _front(p: ProbabilityTriple, q: ProbabilityTriple, w,
+           orthogonality: str = "") -> tuple[SuperpositionWeights, bool]:
+    """Each input's one check, in this order: w as weights, p pure, q pure.
+    orthogonality "test" adds the package's one orthogonality test and returns
+    its verdict (False where untested); "require" raises where it fails."""
+    w = w if isinstance(w, SuperpositionWeights) else SuperpositionWeights(w)
+    _require_pure(p, "first state")
+    _require_pure(q, "second state")
+    if not orthogonality:
+        return w, False
+    overlap = _overlap(p, q)
+    orthogonal = overlap < ORTHO_TOL
+    if not orthogonal and orthogonality == "require":
+        raise NotOrthogonalError(
+            f"input states must be orthogonal (<psi1|psi2> = 0); their "
+            f"overlap Tr(rho1 rho2) is {overlap}"
+        )
+    return w, orthogonal
 
 
 def superpose_oracle(
@@ -121,10 +135,7 @@ def superpose_oracle(
     This is the ground-truth path every probability-space formula is
     compared against.
     """
-    w = _as_weights(w)
-    _require_pure(p, "first state")
-    _require_pure(q, "second state")
-    return _oracle(p, q, w)
+    return _oracle(p, q, _front(p, q, w)[0])
 
 
 def _oracle(
@@ -158,9 +169,12 @@ def superpose_general(
     puts a coin out of [0, 1], the oracle takes over (it alone decides
     annihilation) and the result is flagged with ``fallback_used``.
     """
-    w = _as_weights(w)
-    _require_pure(p, "first state")
-    _require_pure(q, "second state")
+    return _general(p, q, _front(p, q, w)[0])
+
+
+def _general(p: ProbabilityTriple, q: ProbabilityTriple,
+             w: SuperpositionWeights) -> SuperpositionResult:
+    """superpose_general on checked inputs."""
     if p.p3 > HANDOVER_TOL and q.p3 > HANDOVER_TOL:
         dp1, dp2 = p.p1 - 0.5, p.p2 - 0.5
         dq1, dq2 = q.p1 - 0.5, q.p2 - 0.5
@@ -197,18 +211,6 @@ def superpose_general(
                                "general_closed_form", fallback_used=True)
 
 
-def _require_orthogonal(p: ProbabilityTriple, q: ProbabilityTriple) -> None:
-    """Check that p and q are pure and orthogonal."""
-    _require_pure(p, "first state")
-    _require_pure(q, "second state")
-    overlap = _overlap(p, q)
-    if overlap >= ORTHO_TOL:
-        raise NotOrthogonalError(
-            f"input states must be orthogonal (<psi1|psi2> = 0); their "
-            f"overlap Tr(rho1 rho2) is {overlap}"
-        )
-
-
 def assemble_projector_sum(
     p: ProbabilityTriple,
     q: ProbabilityTriple,
@@ -228,7 +230,7 @@ def assemble_projector_sum(
     rho0 overrides that choice; the degenerate case where rho0 is orthogonal
     to an input (vanishing trace factor) is then an error.
     """
-    return _projector_sum(p, q, _as_weights(w), rho0)[0].as_array()
+    return _projector_sum(p, q, _front(p, q, w, "require")[0], rho0)[0].as_array()
 
 
 def _ket(p: ProbabilityTriple) -> tuple[complex, complex]:
@@ -242,12 +244,11 @@ def _projector_sum(
     rho0: DensityMatrix2 | None,
 ) -> tuple[DensityMatrix2, float, float]:
     """Projector-rule state, the trace it was divided by, and the trace
-    factor Tr(rho1 rho0 rho2 rho0).
+    factor Tr(rho1 rho0 rho2 rho0); p and q are taken as pure and orthogonal.
 
     With rho1 = |1><1| and rho2 = |2><2|, rho1 rho0 rho2 = g|1><2| for
     g = <1|rho0|2>, and Tr(rho1 rho0 rho2 rho0) = |g|^2.
     """
-    _require_orthogonal(p, q)
     u, v = _ket(p), _ket(q)
     if rho0 is None:
         # g = <1|psi0><psi0|2> for psi0 = (|1> + e^{i*alpha}|2>)/sqrt(2),
@@ -289,7 +290,7 @@ def superpose_orthogonal(
     rho0: DensityMatrix2 | None = None,
 ) -> SuperpositionResult:
     """Projector addition rule; the normalization is the sum's trace."""
-    rho, trace, _ = _projector_sum(p, q, _as_weights(w), rho0)
+    rho, trace, _ = _projector_sum(p, q, _front(p, q, w, "require")[0], rho0)
     return SuperpositionResult(
         state=density_to_prob(rho), normalization=trace, path="orthogonal_rule"
     )
@@ -308,11 +309,12 @@ def delta_decomposition(
     delta = (P_out - linear) / sqrt(lam1*lam2), and
     T = Tr(rho1 rho0 rho2 rho0)^(-1/2) for the rho0 actually used.
     """
-    w = _as_weights(w)
+    w = w if isinstance(w, SuperpositionWeights) else SuperpositionWeights(w)
     if w.lambda1 * w.lambda2 < INTERFERENCE_TOL:
         raise DomainError(
             "delta is undefined for pure weights (lambda1 * lambda2 = 0)"
         )
+    _front(p, q, w, "require")
     rho, _, trace_factor = _projector_sum(p, q, w, rho0)
     out = density_to_prob(rho)
     linear = w.lambda1 * p.vec() + w.lambda2 * q.vec()
@@ -330,18 +332,16 @@ def superpose_spinor(
      e^{i*beta}*sqrt(Pi3*(1-p3)) + e^{i*(delta+mu)}*sqrt((1-Pi3)*(1-q3)))
     with beta, mu the phases of p and q and delta the weight phase.
     """
-    w = _as_weights(w)
-    _require_orthogonal(p, q)
-    beta = coin_phase(p)
-    mu = coin_phase(q)
-    delta = w.alpha
-    pi3 = w.triple.p3
-    top = math.sqrt(pi3 * p.p3) + cmath.exp(1j * delta) * math.sqrt(
-        q.p3 * (1.0 - pi3)
-    )
-    bottom = cmath.exp(1j * beta) * math.sqrt(
-        pi3 * (1.0 - p.p3)
-    ) + cmath.exp(1j * (delta + mu)) * math.sqrt((1.0 - pi3) * (1.0 - q.p3))
+    return _spinor(p, q, _front(p, q, w, "require")[0])
+
+
+def _spinor(p: ProbabilityTriple, q: ProbabilityTriple,
+            w: SuperpositionWeights) -> SuperpositionResult:
+    """superpose_spinor on inputs already checked pure and orthogonal."""
+    beta, mu, delta, pi3 = coin_phase(p), coin_phase(q), w.alpha, w.triple.p3
+    top = math.sqrt(pi3 * p.p3) + cmath.exp(1j * delta) * math.sqrt(q.p3 * (1.0 - pi3))
+    bottom = cmath.exp(1j * beta) * math.sqrt(pi3 * (1.0 - p.p3)) + cmath.exp(
+        1j * (delta + mu)) * math.sqrt((1.0 - pi3) * (1.0 - q.p3))
     top2, bottom2 = abs(top) ** 2, abs(bottom) ** 2
     # orthogonal inputs keep norm2 above about 1 - sqrt(ORTHO_TOL): never zero
     norm2 = top2 + bottom2
@@ -358,19 +358,19 @@ def superpose_checked(
 ) -> tuple[SuperpositionResult, bool]:
     """The general path's result, and whether every path that applies (the
     orthogonal and spinor paths only to orthogonal inputs) lies within
-    PATH_AGREE_TOL of the oracle in each coin."""
-    w = _as_weights(w)
-    general = superpose_general(p, q, w)
+    PATH_AGREE_TOL of the oracle in each coin.  The front checks the inputs
+    once and its verdict picks the paths, whose unchecked cores then run."""
+    w, orthogonal = _front(p, q, w, "test")
+    general = _general(p, q, w)
     ref = general.state if general.fallback_used else _oracle(p, q, w).state
-    paths = [general]
-    try:
-        paths += [superpose_orthogonal(p, q, w), superpose_spinor(p, q, w)]
-    except NotOrthogonalError:
-        pass
+    outs = [general.state]
+    if orthogonal:
+        outs += [density_to_prob(_projector_sum(p, q, w, None)[0]),
+                 _spinor(p, q, w).state]
     agree = all(
-        max(abs(r.state.p1 - ref.p1), abs(r.state.p2 - ref.p2),
-            abs(r.state.p3 - ref.p3)) < PATH_AGREE_TOL
-        for r in paths
+        max(abs(s.p1 - ref.p1), abs(s.p2 - ref.p2), abs(s.p3 - ref.p3))
+        < PATH_AGREE_TOL
+        for s in outs
     )
     return general, agree
 

@@ -46,6 +46,7 @@ PLUS_TILT = weights_for_phase(1.0, 0.3).triple  # pure, off the poles
 MINUS_TILT = weights_for_phase(2.5, 0.8).triple
 EQUAL_WEIGHTS = SuperpositionWeights(ProbabilityTriple(1.0, 0.5, 0.5))
 FIRST_ONLY = SuperpositionWeights(ProbabilityTriple(0.5, 0.5, 1.0))
+PLUS_PARTNER = orthogonal_partner(PLUS_TILT)
 
 
 def _max_diff(a, b):
@@ -473,7 +474,7 @@ class TestSuperposeChecked:
 
     def test_the_orthogonal_paths_count_only_for_orthogonal_inputs(self, monkeypatch):
         off = SuperpositionResult(ProbabilityTriple(0.5, 0.5, 0.5), 1.0, "spinor")
-        monkeypatch.setattr(superposition, "superpose_spinor", lambda p, q, w: off)
+        monkeypatch.setattr(superposition, "_spinor", lambda p, q, w: off)
         plus = ProbabilityTriple(1.0, 0.5, 0.5)
         assert superpose_checked(UP, DOWN, EQUAL_WEIGHTS)[1] is False
         assert superpose_checked(UP, plus, EQUAL_WEIGHTS)[1] is True
@@ -489,27 +490,96 @@ class TestSuperposeChecked:
         assert general.fallback_used and agree
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("call, p, q, count", [
-        (superpose_oracle, PLUS_TILT, MINUS_TILT, 2),
-        (superpose_orthogonal, PLUS_TILT, orthogonal_partner(PLUS_TILT), 2),
-        (superpose_general, DOWN, PLUS_TILT, 2),
-        (superpose_checked, PLUS_TILT, MINUS_TILT, 4),
-        (superpose_checked, PLUS_TILT, orthogonal_partner(PLUS_TILT), 6),
-        (superpose_checked, DOWN, UP, 6),
-    ], ids=["oracle", "orthogonal", "general-at-a-pole", "checked",
+    @pytest.mark.parametrize("call, args, overlaps", [
+        (superpose_oracle, (PLUS_TILT, MINUS_TILT, EQUAL_WEIGHTS), 0),
+        (superpose_orthogonal, (PLUS_TILT, PLUS_PARTNER, EQUAL_WEIGHTS), 1),
+        (superpose_general, (DOWN, PLUS_TILT, EQUAL_WEIGHTS), 0),
+        (superpose_spinor, (PLUS_TILT, PLUS_PARTNER, EQUAL_WEIGHTS), 1),
+        (assemble_projector_sum, (PLUS_TILT, PLUS_PARTNER, EQUAL_WEIGHTS), 1),
+        (delta_decomposition, (PLUS_TILT, PLUS_PARTNER, EQUAL_WEIGHTS), 1),
+        (unit_normalization_phase, (PLUS_TILT, MINUS_TILT), 0),
+        (superpose_checked, (PLUS_TILT, MINUS_TILT, EQUAL_WEIGHTS), 1),
+        (superpose_checked, (PLUS_TILT, PLUS_PARTNER, EQUAL_WEIGHTS), 1),
+        (superpose_checked, (DOWN, UP, EQUAL_WEIGHTS), 1),
+    ], ids=["oracle", "orthogonal", "general-at-a-pole", "spinor",
+            "projector-sum", "delta", "unit-normalization-phase", "checked",
             "checked-orthogonal", "checked-orthogonal-at-a-pole"])
     def test_each_input_is_checked_pure_once_per_entry_point(
-        self, monkeypatch, call, p, q, count
+        self, monkeypatch, call, args, overlaps
     ):
-        """Every public path checks p and q once; the checked rule calls the
-        general rule and the two orthogonal paths (not the public oracle)."""
-        calls = []
-        require_pure = states._require_pure
-        for module in (states, superposition):
-            monkeypatch.setattr(module, "_require_pure",
-                                lambda *args: calls.append(args) or require_pure(*args))
-        call(p, q, EQUAL_WEIGHTS)
-        assert len(calls) == count
+        """Every public entry point checks p and q pure once, and computes
+        their overlap once where it tests orthogonality: the checked rule
+        for every pair, since its orthogonality verdict picks the paths."""
+        counted = {"_require_pure": [], "_overlap": []}
+        for name, calls in counted.items():
+            real = getattr(states, name)
+
+            def spy(*a, calls=calls, real=real):
+                calls.append(a)
+                return real(*a)
+
+            for module in (states, superposition):
+                monkeypatch.setattr(module, name, spy)
+        call(*args)
+        assert (len(counted["_require_pure"]), len(counted["_overlap"])) == (
+            2, overlaps)
+
+
+MIXED = ProbabilityTriple(0.5, 0.5, 0.5)
+PLUS = ProbabilityTriple(1.0, 0.5, 0.5)  # overlap 1/2 with UP
+MIXED_WEIGHTS = ProbabilityTriple(0.5, 0.5, 0.25)
+NOT_PURE = "{} ({}, {}, {}) is not pure: radius^2 = {}, expected 1/4"
+
+
+class TestErrorPrecedence:
+    """Inputs with more than one fault: the error raised is that of the
+    first check in the order weights, first state, second state, then
+    orthogonality, then the path's own degenerate cases."""
+
+    @pytest.mark.parametrize("call, args, error, message", [
+        (superpose_oracle, (MIXED, UP, MIXED_WEIGHTS), NotPureError,
+         NOT_PURE.format("weight triple", 0.5, 0.5, 0.25, 0.0625)),
+        (superpose_general, (MIXED, UP, MIXED_WEIGHTS), NotPureError,
+         NOT_PURE.format("weight triple", 0.5, 0.5, 0.25, 0.0625)),
+        (superpose_checked, (MIXED, UP, MIXED_WEIGHTS), NotPureError,
+         NOT_PURE.format("weight triple", 0.5, 0.5, 0.25, 0.0625)),
+        (superpose_orthogonal, (MIXED, PLUS, MIXED_WEIGHTS), NotPureError,
+         NOT_PURE.format("weight triple", 0.5, 0.5, 0.25, 0.0625)),
+        (superpose_oracle, (MIXED, MIXED_WEIGHTS, PLUS), NotPureError,
+         NOT_PURE.format("first state", 0.5, 0.5, 0.5, 0.0)),
+        (superpose_checked, (MIXED, MIXED_WEIGHTS, PLUS), NotPureError,
+         NOT_PURE.format("first state", 0.5, 0.5, 0.5, 0.0)),
+        (superpose_orthogonal, (UP, MIXED, PLUS), NotPureError,
+         NOT_PURE.format("second state", 0.5, 0.5, 0.5, 0.0)),
+        (superpose_spinor, (UP, MIXED, PLUS), NotPureError,
+         NOT_PURE.format("second state", 0.5, 0.5, 0.5, 0.0)),
+        (assemble_projector_sum, (UP, MIXED, PLUS), NotPureError,
+         NOT_PURE.format("second state", 0.5, 0.5, 0.5, 0.0)),
+        (superpose_checked, (UP, MIXED, PLUS), NotPureError,
+         NOT_PURE.format("second state", 0.5, 0.5, 0.5, 0.0)),
+        (delta_decomposition, (MIXED, PLUS, FIRST_ONLY.triple), DomainError,
+         "delta is undefined for pure weights (lambda1 * lambda2 = 0)"),
+        (delta_decomposition, (UP, MIXED, PLUS), NotPureError,
+         NOT_PURE.format("second state", 0.5, 0.5, 0.5, 0.0)),
+        (unit_normalization_phase, (UP, MIXED), NotPureError,
+         NOT_PURE.format("second state", 0.5, 0.5, 0.5, 0.0)),
+        # a non-orthogonal pair with a rho0 orthogonal to UP
+        (superpose_orthogonal, (UP, PLUS, PLUS, prob_to_density(DOWN)),
+         NotOrthogonalError, "input states must be orthogonal (<psi1|psi2> = 0); "
+         "their overlap Tr(rho1 rho2) is 0.5"),
+        (delta_decomposition, (UP, PLUS, PLUS, prob_to_density(DOWN)),
+         NotOrthogonalError, "input states must be orthogonal (<psi1|psi2> = 0); "
+         "their overlap Tr(rho1 rho2) is 0.5"),
+    ], ids=["oracle-weights", "general-weights", "checked-weights",
+            "orthogonal-weights", "oracle-first", "checked-first",
+            "orthogonal-second", "spinor-second",
+            "projector-sum-second", "checked-second", "delta-interference",
+            "delta-second", "unit-normalization-phase-second",
+            "orthogonal-before-rho0", "delta-orthogonal-before-rho0"])
+    def test_first_fault_wins(self, call, args, error, message):
+        with pytest.raises(error) as raised:
+            call(*args)
+        assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 def _on_circle(p3, phi):
@@ -672,7 +742,7 @@ class TestOrthoTol:
             assert raised == ([] if orthogonal else list(paths))
             ran = []
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(superposition, "superpose_spinor",
+                patch.setattr(superposition, "_spinor",
                               lambda p, q, w: ran.append(1) or off)
                 agree = superpose_checked(p, q, w)[1]
             assert (bool(ran), agree) == (orthogonal, not orthogonal)
