@@ -8,9 +8,7 @@ three classical means.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -18,6 +16,7 @@ from .states import (
     MEAN_IDENTITY_TOL,
     ProbabilityTriple,
     _Frozen,
+    _fma,
     _number_field,
     _require_quantum,
     _set,
@@ -79,6 +78,9 @@ def second_moments(
 def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
     """Tr(rho H), computed by explicit matrix trace.
 
+    Plain floats round the diagonal of rho @ H as numpy's 2x2 complex matmul
+    (zgemm) does with fused multiply-adds, and sum it as np.trace does:
+    0.0 + d11 turns -0.0 into +0.0.
     The value always equals the sum of the three classical means; the
     identity is checked here so a drift between the two routes cannot go
     unnoticed.  Finite coefficients near the float maximum can overflow
@@ -90,23 +92,15 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
     classical_sum = sum(means)
     if not math.isfinite(classical_sum):
         raise DomainError(f"mean overflows: classical sum {classical_sum}")
-    import numpy as np
+    rho = prob_to_density(p)
+    h01, h10 = obs.x - 1j * obs.y, obs.x + 1j * obs.y  # as matrix() builds them
 
-    # Real and imaginary parts of rho are at most 1 on the diagonal and 1/2
-    # off it, so with every coefficient at most c in size each term of
-    # rho @ H is at most c, each entry 2c and the trace 4c: numpy can only
-    # overflow, and warn about it, when c exceeds a quarter of the float maximum.
-    big = max(map(abs, (obs.x, obs.y, obs.z1, obs.z2))) > sys.float_info.max / 4
-    with (np.errstate(over="ignore", invalid="ignore") if big
-          else contextlib.nullcontext()):
-        prod = prob_to_density(p).as_array() @ obs.matrix()
-        # A ufunc sum, not np.trace: the zgemm behind this 2x2 complex
-        # matmul can leave the vector unit slowing later scalar float code
-        # (x ** 2 about 4x) until a SIMD ufunc runs, and np.trace is none.
-        # 0.0 + turns -0.0 into +0.0 as np.trace's sum does, so the bits
-        # equal np.trace's.
-        trace = np.add(prod[0, 0], 0.0 + prod[1, 1])
-    value = float(trace.real)
+    def diagonal(a, b, u, v) -> float:  # Re(a*b + u*v), accumulated as zgemm does
+        return _fma(u.real, v.real, _fma(-u.imag, v.imag,
+                                         _fma(a.real, b.real, -(a.imag * b.imag))))
+
+    value = (diagonal(rho.rho00, obs.z1, rho.rho01, h10)
+             + (0.0 + diagonal(rho.rho10, h01, rho.rho11, obs.z2)))
     if not math.isfinite(value):
         raise DomainError(f"mean overflows: matrix trace {value}")
     gap = abs(value - classical_sum)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import TYPE_CHECKING
 
 from .errors import ClassicalStateError, DomainError, NotPureError
@@ -39,6 +40,47 @@ MEAN_IDENTITY_TOL = 1e-12  # Tr(rho H) minus the classical sum, relative to its 
 INTERFERENCE_TOL = 1e-14  # lam1*lam2 and Tr(rho1 rho0 rho2 rho0), as zero
 
 TWO_PI = 2.0 * math.pi
+
+# Exactness range of |a*b| on _fma's fast path, not a tolerance: the partial
+# products of Veltkamp's split (by 2**27 + 1) are multiples of ulp(a) * ulp(b)
+# >= |a*b| * 2**-106 and fit a double for |a*b| in (min * 2**54, max / 2**64);
+# 2**110 and 2**960 leave room.  A split or sum that overflows anyway gives
+# nan or OverflowError, and the exact path takes over.
+_SPLIT = 2.0 ** 27 + 1.0
+_FMA_LO = sys.float_info.min * 2.0 ** 110
+_FMA_HI = 2.0 ** (sys.float_info.max_exp - 64)
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once, as a fused multiply-add rounds it."""
+    p = a * b
+    if _FMA_LO < abs(p) < _FMA_HI:
+        ta, tb = _SPLIT * a, _SPLIT * b
+        a1, b1 = ta - (ta - a), tb - (tb - b)
+        a2, b2 = a - a1, b - b1  # four exact products that sum to a*b
+        try:
+            s = math.fsum((a1 * b1, a1 * b2, a2 * b1, a2 * b2, c))
+        except OverflowError:
+            s = math.nan
+        if s == s:  # else an overflow or a nan c
+            return s
+    if not (a and b and math.isfinite(a) and math.isfinite(b)):
+        return p + c  # p is exact: a zero, an infinite or a nan factor
+    if not math.isfinite(c):
+        return c
+    (na, da), (nb, db), (nc, dc) = (
+        a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio())
+    num = na * nb * dc + nc * da * db
+    try:  # rounds once; an exact cancellation gives +0.0, as in IEEE
+        return num / (da * db * dc)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _cmul(x: complex, y: complex) -> complex:
+    """x*y as numpy's complex128 multiply rounds it, each part fused."""
+    return complex(_fma(x.real, y.real, -(x.imag * y.imag)),
+                   _fma(x.real, y.imag, x.imag * y.real))
 
 
 def _unit_interval(value: float, name: str) -> float:
@@ -226,12 +268,13 @@ class DensityMatrix2(_Frozen):
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-        (m00, m01), (m10, m11) = m.tolist()
-        if not (
-            abs(m00.imag) <= HERMITIAN_TOL
-            and abs(m11.imag) <= HERMITIAN_TOL
-            and abs(m10 - m01.conjugate()) <= HERMITIAN_TOL
-        ):
+        return cls._from_entries(*m.ravel().tolist())
+
+    @classmethod
+    def _from_entries(cls, m00, m01, m10, m11) -> "DensityMatrix2":
+        """from_array on the four entries of a 2x2 complex matrix."""
+        if not (abs(m00.imag) <= HERMITIAN_TOL and abs(m11.imag) <= HERMITIAN_TOL
+                and abs(m10 - m01.conjugate()) <= HERMITIAN_TOL):
             raise DomainError("matrix is not Hermitian")
         return cls(m00.real, m01, m11.real)
 

@@ -40,6 +40,8 @@ from .states import (
     ProbabilityTriple,
     _Frozen,
     _at_pole,
+    _cmul,
+    _fma,
     _overlap,
     _pure_triple,
     _require_pure,
@@ -141,18 +143,23 @@ def superpose_oracle(
 def _oracle(
     p: ProbabilityTriple, q: ProbabilityTriple, w: SuperpositionWeights
 ) -> SuperpositionResult:
-    """superpose_oracle on inputs already checked pure."""
-    import numpy as np
-
-    kets = np.array([_ket(p), _ket(q)])
-    chi = w.c1 * kets[0] + w.c2 * kets[1]
-    norm2 = float(np.vdot(chi, chi).real)
+    """superpose_oracle on inputs already checked pure, in plain floats that
+    round as numpy rounds chi = c1*ket(p) + c2*ket(q), np.vdot(chi, chi) and
+    np.multiply.outer(chi, chi.conj()) / norm2 with fused multiply-adds."""
+    c1, c2 = complex(w.c1, 0.0), w.c2  # numpy's cast of the real c1
+    (a0, a1), (b0, b1) = _ket(p), _ket(q)
+    x0, x1 = c1 * a0 + _cmul(c2, b0), c1 * a1 + _cmul(c2, b1)
+    norm2 = (_fma(x1.real, x1.real, x0.real * x0.real)
+             + _fma(x1.imag, x1.imag, x0.imag * x0.imag))
     if norm2 <= ANNIHILATION_TOL:
         raise DegenerateSuperpositionError(
             "the superposed vector has zero norm (exact destructive "
             "interference); no qubit state exists"
         )
-    rho = DensityMatrix2.from_array(np.multiply.outer(chi, chi.conj()) / norm2)
+    inv, y0, y1 = 1.0 / norm2, x0.conjugate(), x1.conjugate()
+    rho = DensityMatrix2._from_entries(*[  # numpy's division by a real
+        complex((m.real + m.imag * 0.0) * inv, (m.imag - m.real * 0.0) * inv)
+        for m in (_cmul(x0, y0), _cmul(x0, y1), _cmul(x1, y0), _cmul(x1, y1))])
     return SuperpositionResult(
         state=density_to_prob(rho), normalization=norm2, path="matrix_oracle"
     )

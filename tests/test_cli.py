@@ -764,7 +764,7 @@ class TestFailingStreamsConsoleScript(TestFailingStreams):
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import coinqubit, coinqubit.cli
-from coinqubit import ProbabilityTriple, SuperpositionWeights
+from coinqubit import CoinObservable, ProbabilityTriple, SuperpositionWeights
 from coinqubit.cli import main
 
 state = ["--p1", "1", "--p2", "0.5", "--p3", "0.5"]
@@ -779,8 +779,16 @@ scalar_argvs = [
     ["triada", *state],
     ["render", *state, "--labels"],
 ]
+weights = ["--w1", "0.5", "--w2", "1", "--w3", "0.5"]
+oracle_argvs = [  # an orthogonal pair, a general pair, a hand-over pair
+    ["superpose", *state, "--q1", "0", "--q2", "0.5", "--q3", "0.5", *weights],
+    ["superpose", *state, "--q1", "0.5", "--q2", "1", "--q3", "0.5", *weights],
+    ["superpose", "--p1", "0.5009999995", "--p2", "0.5", "--p3", "1e-6",
+     "--q1", "0.5", "--q2", "1", "--q3", "0.5", *weights],
+    ["mean", *state, "--x", "1", "--y", "2", "--z1", "3", "--z2=-1e3"],
+]
 loaded = {"import": "numpy" in sys.modules}
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()) as out:
     for argv in scalar_argvs:
         assert main(argv) == 0, argv
     loaded["scalar"] = "numpy" in sys.modules
@@ -789,6 +797,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     for path in ("superpose_general", "superpose_orthogonal", "superpose_spinor"):
         getattr(coinqubit, path)(plus, minus, w)  # orthogonal, off the poles
     loaded["kernels"] = "numpy" in sys.modules
+    for argv in oracle_argvs:
+        assert main(argv) == 0, argv
+    coinqubit.superpose_oracle(plus, ProbabilityTriple(0.5, 1, 0.5), w)
+    coinqubit.quantum_mean(CoinObservable(1, 2, 3, -1), ProbabilityTriple(0.6, 0.7, 0.8))
+    loaded["oracle_and_mean"] = "numpy" in sys.modules
+    loaded["handover"] = out.getvalue().count('"fallback_used": true')
     assert main(["sample", *state, "--n", "10", "--seed", "1"]) == 0
 loaded["sample"] = "numpy" in sys.modules
 print(json.dumps(loaded))
@@ -796,13 +810,16 @@ print(json.dumps(loaded))
 
 
 def test_numpy_loads_only_where_arrays_are_built():
+    """Only sample loads numpy: superpose (the oracle on every path, the
+    hand-over included) and mean run on plain floats."""
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(proc.stdout) == {
-        "import": False, "scalar": False, "kernels": False, "sample": True,
+        "import": False, "scalar": False, "kernels": False,
+        "oracle_and_mean": False, "handover": 1, "sample": True,
     }
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import statistics
 import sys
@@ -5,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinqubit import (
     ClassicalStateError,
@@ -16,7 +19,7 @@ from coinqubit import (
     quantum_mean,
     second_moments,
 )
-from conftest import random_quantum, random_valid
+from conftest import exact_fma, needs_fused_numpy, random_quantum, random_valid
 
 
 def test_observable_rejects_non_finite():
@@ -116,8 +119,39 @@ def _trace_reference(obs, p):
         return float(np.trace(prob_to_density(p).as_array() @ obs.matrix()).real)
 
 
-def test_quantum_mean_keeps_the_bits_of_np_trace(rng):
-    """The diagonal sum equals np.trace bit for bit, the sign of zero too."""
+def _numpy_mean(obs, p):
+    """quantum_mean's matrix trace as numpy computed it, before it ran on
+    plain floats, with the checks that follow it."""
+    means = classical_means(obs, p)
+    if not math.isfinite(sum(means)):
+        raise DomainError(f"mean overflows: classical sum {sum(means)}")
+    big = max(map(abs, (obs.x, obs.y, obs.z1, obs.z2))) > sys.float_info.max / 4
+    with (np.errstate(over="ignore", invalid="ignore") if big
+          else contextlib.nullcontext()):
+        prod = prob_to_density(p).as_array() @ obs.matrix()
+        value = float(np.add(prod[0, 0], 0.0 + prod[1, 1]).real)
+    if not math.isfinite(value):
+        raise DomainError(f"mean overflows: matrix trace {value}")
+    return value
+
+
+def _exact_trace(obs, p):
+    """The diagonal of rho @ H with each fused multiply-add of zgemm rounded
+    once from exact rationals, summed as np.trace sums it."""
+    h = obs.matrix().tolist()
+    rho = prob_to_density(p).as_array().tolist()
+
+    def diagonal(i):
+        (a, u), (b, v) = rho[i], (h[0][i], h[1][i])
+        return exact_fma(u.real, v.real, exact_fma(
+            -u.imag, v.imag, exact_fma(a.real, b.real, -(a.imag * b.imag))))
+
+    return diagonal(0) + (0.0 + diagonal(1))
+
+
+def _trace_cases(rng):
+    """(observable, state): signed zeros at the centre and the poles, then
+    random states with small, near-maximum and maximum coefficients."""
     big = sys.float_info.max
     points = [ProbabilityTriple(*p) for p in
               ((0.5, 0.5, 0.5), (0.5, 0.5, 1.0), (0.5, 0.5, 0.0), (1.0, 0.5, 0.5))]
@@ -129,19 +163,67 @@ def test_quantum_mean_keeps_the_bits_of_np_trace(rng):
         cases.append((CoinObservable(*(big * rng.uniform(-1, 1, size=4))), p))
         cases.append((CoinObservable(*(big * rng.uniform(0.999, 1, size=4)
                                        * rng.choice([-1.0, 1.0], size=4))), p))
+    return cases
+
+
+def _assert_keeps_the_bits_of(reference, cases):
     means = 0
     for obs, p in cases:
-        reference = _trace_reference(obs, p)
+        value_reference = reference(obs, p)
         try:
             value = quantum_mean(obs, p)
         except DomainError:
-            assert not (math.isfinite(reference)
+            assert not (math.isfinite(value_reference)
                         and math.isfinite(sum(classical_means(obs, p))))
             continue
         means += 1
-        assert value == reference
-        assert math.copysign(1.0, value) == math.copysign(1.0, reference)
+        assert value.hex() == value_reference.hex()  # the sign of zero too
     assert means > len(cases) // 2
+
+
+@needs_fused_numpy
+def test_quantum_mean_keeps_the_bits_of_np_trace(rng):
+    """The diagonal sum equals np.trace bit for bit, the sign of zero too."""
+    _assert_keeps_the_bits_of(_trace_reference, _trace_cases(rng))
+
+
+def test_quantum_mean_keeps_the_bits_of_the_exact_trace(rng):
+    """The same cases against exactly rounded fused multiply-adds, so they
+    also run where numpy does not round fused."""
+    _assert_keeps_the_bits_of(_exact_trace, _trace_cases(rng))
+
+
+EDGE_P3 = [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 0.5]
+EDGE_COEFFICIENTS = [0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308, sys.float_info.max]
+
+
+@st.composite
+def mean_inputs(draw):
+    """A quantum triple (p3 often at an edge, the radius from the centre to
+    the surface) and an observable with coefficients often at an edge."""
+    p3 = draw(st.one_of(st.sampled_from(EDGE_P3), st.floats(0.0, 1.0)))
+    r = math.sqrt(p3 * (1.0 - p3)) * draw(st.sampled_from([1.0, 0.5, 0.0]))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    p = ProbabilityTriple(0.5 + r * math.cos(phi), 0.5 + r * math.sin(phi), p3)
+    coefficient = st.one_of(st.sampled_from(EDGE_COEFFICIENTS),
+                            st.floats(-1e3, 1e3), st.floats(-1.7e308, 1.7e308))
+    return CoinObservable(*(draw(coefficient) for _ in range(4))), p
+
+
+def _mean_outcome(f, obs, p):
+    try:
+        return f(obs, p).hex()
+    except DomainError as exc:
+        return str(exc)
+
+
+@needs_fused_numpy
+@given(inputs=mean_inputs())
+@settings(max_examples=500, deadline=None)
+def test_quantum_mean_keeps_the_bits_of_the_numpy_form(inputs):
+    """Value or error message, against the numpy arithmetic it replaced."""
+    assert (_mean_outcome(quantum_mean, *inputs)
+            == _mean_outcome(_numpy_mean, *inputs))
 
 
 def _float_loop():

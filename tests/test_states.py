@@ -3,6 +3,7 @@ import cmath
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -28,8 +29,24 @@ from coinqubit import (
     spinor_to_prob,
 )
 from coinqubit.cli import main
-from coinqubit.states import BALL_TOL, POLE_TOL, SPILL_TOL, _unit_interval
-from conftest import random_pure, random_quantum, random_valid
+from coinqubit.states import (
+    _FMA_HI,
+    _FMA_LO,
+    BALL_TOL,
+    POLE_TOL,
+    SPILL_TOL,
+    _cmul,
+    _fma,
+    _unit_interval,
+)
+from conftest import (
+    exact_cmul,
+    exact_fma,
+    needs_fused_numpy,
+    random_pure,
+    random_quantum,
+    random_valid,
+)
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -432,6 +449,95 @@ class TestComplexCoins:
                 math.sqrt(rng.uniform(0.01, 0.99)), rng.uniform(0, 6.28)
             )
             assert abs(coins_to_complex(complex_to_coins(z)) - z) < 1e-10
+
+
+doubles = st.floats(allow_nan=False, allow_infinity=False)  # zeros, subnormals too
+MAX = sys.float_info.max
+
+
+def _bits(x: float) -> str:
+    return x.hex()  # tells -0.0 from 0.0; "inf", "-inf" and "nan" as such
+
+
+def _fast_path_edges():
+    """(a, b) with |a*b| just inside and outside the fast path's range, and
+    splits of a huge factor that overflow though a*b lies inside it."""
+    pairs = []
+    for edge in (_FMA_LO, _FMA_HI):
+        for scale in (1.0 - 2.0 ** -52, 1.0, 1.0 + 2.0 ** -52):
+            for b in (1.0, 3.0, 2.0 ** 40 + 1.0, 0.7):
+                pairs.append((edge * scale / b, b))
+    pairs += [(2.0 ** 1000 + 2.0 ** 960, 2.0 ** -100 * 3.0),
+              (MAX, 2.0 ** -70 * 1.5), (5e-324, 2.0 ** 1000), (-5e-324, -MAX)]
+    return pairs
+
+
+class TestFma:
+    @given(a=doubles, b=doubles, c=doubles)
+    @settings(max_examples=1500, deadline=None)
+    def test_rounds_once(self, a, b, c):
+        assert _bits(_fma(a, b, c)) == _bits(exact_fma(a, b, c))
+
+    @given(a=doubles, b=doubles, tilt=st.sampled_from([0.0, 2.0 ** -52, -2.0 ** -53]))
+    @settings(max_examples=500, deadline=None)
+    def test_cancellation(self, a, b, tilt):
+        """c = -(a*b) leaves only the product's rounding error."""
+        c = -(a * b) * (1.0 + tilt)
+        if math.isfinite(c):
+            assert _bits(_fma(a, b, c)) == _bits(exact_fma(a, b, c))
+
+    def test_fast_path_edges(self):
+        for a, b in _fast_path_edges():
+            for c in (0.0, -0.0, 1.0, -3e-300, 2.0 ** 950, -MAX, -(a * b)):
+                for sa, sb in ((a, b), (b, a), (-a, b)):
+                    assert _bits(_fma(sa, sb, c)) == _bits(exact_fma(sa, sb, c))
+
+    @pytest.mark.parametrize("a, b, c, expected", [
+        (MAX, 2.0, -MAX, MAX),  # a*b alone overflows
+        (MAX, 1.0, MAX, math.inf),
+        (-MAX, 1.0, -MAX, -math.inf),
+        (MAX, 1.0 + 2.0 ** -52, 0.0, math.inf),
+        (MAX, 1.0, 2.0 ** 969, MAX),  # below half an ulp
+        (MAX, 1.0, 2.0 ** 970, math.inf),  # a tie, to even: up
+        (-MAX, 1.0, -(2.0 ** 970) * (1 - 2.0 ** -53), -MAX),
+        (1e308, 10.0, -math.inf, -math.inf),  # a*b + c would be nan
+        (math.inf, 0.0, 1.0, math.nan),
+        (math.inf, 2.0, -math.inf, math.nan),
+        (-math.inf, 2.0, 1.0, -math.inf),
+        (2.0, 3.0, math.inf, math.inf),
+        (2.0, 3.0, math.nan, math.nan),
+        (-0.0, 5.0, -0.0, -0.0),
+        (0.0, -5.0, 0.0, 0.0),
+        (2.0 ** -600, -(2.0 ** -600), 0.0, -0.0),  # underflows, keeps its sign
+        (2.0 ** -537, -(2.0 ** -537), 5e-324, 0.0),  # cancels exactly: +0
+        (1.5 * 2.0 ** -600, 2.0 ** -475, -0.0, 5e-324),  # up to the least subnormal
+        (2.0 ** -600, 2.0 ** -475, -0.0, 0.0),  # half of it: a tie, to even
+    ])
+    def test_matches_ieee(self, a, b, c, expected):
+        assert _bits(_fma(a, b, c)) == _bits(expected)
+
+    @given(x=st.complex_numbers(allow_nan=False, allow_infinity=False),
+           y=st.complex_numbers(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=1000, deadline=None)
+    def test_cmul_rounds_each_part_once(self, x, y):
+        result, reference = _cmul(x, y), exact_cmul(x, y)
+        assert (_bits(result.real), _bits(result.imag)) == (
+            _bits(reference.real), _bits(reference.imag))
+
+    @needs_fused_numpy
+    def test_cmul_keeps_the_bits_of_np_multiply(self, rng):
+        scale = 10.0 ** rng.integers(-300, 300, size=(4, 4000))
+        x = (rng.uniform(-1, 1, size=4000) * scale[0]
+             + 1j * rng.uniform(-1, 1, size=4000) * scale[1])
+        y = (rng.uniform(-1, 1, size=4000) * scale[2]
+             + 1j * rng.uniform(-1, 1, size=4000) * scale[3])
+        x[:8], y[:8] = [0.0, -0.0, 1.0, -1.0] * 2, [-0.0, 0.0, 0.0, -0.0, 1j, -1j, 1, -1]
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            product = np.multiply(x, y).tolist()
+        for a, b, c in zip(x.tolist(), y.tolist(), product):
+            result = _cmul(a, b)
+            assert (_bits(result.real), _bits(result.imag)) == (
+                _bits(c.real), _bits(c.imag))
 
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "coinqubit"

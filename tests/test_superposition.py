@@ -38,7 +38,7 @@ from coinqubit.states import (
     DensityMatrix2,
     density_to_prob,
 )
-from conftest import random_pure
+from conftest import exact_cmul, exact_fma, needs_fused_numpy, random_pure
 
 UP = ProbabilityTriple(0.5, 0.5, 1.0)
 DOWN = ProbabilityTriple(0.5, 0.5, 0.0)
@@ -85,6 +85,17 @@ class TestWeights:
         assert w.alpha == pytest.approx(math.pi / 2.0)
         assert w.c1 == pytest.approx(math.sqrt(0.5))
         assert w.c2 == pytest.approx(1j * math.sqrt(0.5))
+
+    def test_from_probabilities(self):
+        w = SuperpositionWeights.from_probabilities(0.5, 1.0, 0.5)
+        assert w == SuperpositionWeights(ProbabilityTriple(0.5, 1.0, 0.5))
+
+    def test_from_probabilities_rejects_a_non_pure_triple(self):
+        with pytest.raises(NotPureError) as direct:
+            SuperpositionWeights(ProbabilityTriple(0.5, 0.5, 0.5))
+        with pytest.raises(NotPureError) as built:
+            SuperpositionWeights.from_probabilities(0.5, 0.5, 0.5)
+        assert str(built.value) == str(direct.value)
 
     def test_pole_convention(self):
         assert FIRST_ONLY.alpha == 0.0
@@ -167,6 +178,7 @@ class TestOracle:
             )
             assert abs(result.state.radius2 - 0.25) < 1e-9
 
+    @needs_fused_numpy
     def test_bits_of_the_two_vector_outer_form(self, rng):
         """The oracle's state and normalization equal, bit for bit, the form
         that built each spinor with as_vector and rho with np.outer."""
@@ -585,6 +597,103 @@ class TestErrorPrecedence:
 def _on_circle(p3, phi):
     r = math.sqrt(p3 * (1.0 - p3))
     return ProbabilityTriple(0.5 + r * math.cos(phi), 0.5 + r * math.sin(phi), p3)
+
+
+ZERO_NORM = ("the superposed vector has zero norm (exact destructive "
+             "interference); no qubit state exists")
+
+
+def _numpy_oracle(p, q, w):
+    """The oracle as numpy computed it, before it ran on plain floats."""
+    kets = np.array([superposition._ket(p), superposition._ket(q)])
+    chi = w.c1 * kets[0] + w.c2 * kets[1]
+    norm2 = float(np.vdot(chi, chi).real)
+    if norm2 <= ANNIHILATION_TOL:
+        raise DegenerateSuperpositionError(ZERO_NORM)
+    rho = DensityMatrix2.from_array(np.multiply.outer(chi, chi.conj()) / norm2)
+    return SuperpositionResult(
+        state=density_to_prob(rho), normalization=norm2, path="matrix_oracle")
+
+
+def _exact_oracle(p, q, w):
+    """The oracle's fused formulas, each rounded once from exact rationals;
+    numpy divides by the real norm (no multiply-add is fused there)."""
+    c1 = complex(w.c1, 0.0)
+    (a0, a1), (b0, b1) = superposition._ket(p), superposition._ket(q)
+    x0, x1 = c1 * a0 + exact_cmul(w.c2, b0), c1 * a1 + exact_cmul(w.c2, b1)
+    norm2 = (exact_fma(x1.real, x1.real, x0.real * x0.real)
+             + exact_fma(x1.imag, x1.imag, x0.imag * x0.imag))
+    if norm2 <= ANNIHILATION_TOL:
+        raise DegenerateSuperpositionError(ZERO_NORM)
+    m = [[exact_cmul(x, y.conjugate()) for y in (x0, x1)] for x in (x0, x1)]
+    rho = DensityMatrix2.from_array(np.array(m) / norm2)
+    return SuperpositionResult(
+        state=density_to_prob(rho), normalization=norm2, path="matrix_oracle")
+
+
+def _bits_of(f, p, q, w):
+    """repr of the outcome: it shows the sign of a zero, as == does not."""
+    return repr(_outcome(f, p, q, w))
+
+
+EDGE_P3 = [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53]
+edge_or_any_p3 = st.one_of(st.sampled_from(EDGE_P3), st.floats(0.0, 1.0))
+phases = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def oracle_inputs(draw):
+    """(p, q, w): a random, orthogonal or annihilating pure pair, p3 and the
+    weight Pi3 often at an edge (0, 1, the least subnormal, 1e-300, 1 - 2**-53)."""
+    p = _on_circle(draw(edge_or_any_p3), draw(phases))
+    kind = draw(st.sampled_from(["random", "orthogonal", "annihilating"]))
+    if kind == "annihilating":  # c1|p> + c2|p> with c2 = -c1
+        return p, p, weights_for_phase(math.pi, 0.5)
+    q = orthogonal_partner(p) if kind == "orthogonal" else _on_circle(
+        draw(edge_or_any_p3), draw(phases))
+    return p, q, SuperpositionWeights(_on_circle(draw(edge_or_any_p3), draw(phases)))
+
+
+def _edge_cases():
+    """Every edge p3 against every other, the weights at edges too, and the
+    annihilating pairs."""
+    cases = []
+    for i, p3 in enumerate(EDGE_P3):
+        p = _on_circle(p3, 1.0 + i)
+        cases.append((p, p, weights_for_phase(math.pi, 0.5)))
+        cases.append((p, orthogonal_partner(p), EQUAL_WEIGHTS))
+        for q3 in EDGE_P3:
+            for pi3 in EDGE_P3 + [0.5]:
+                cases.append((p, _on_circle(q3, 4.0), weights_for_phase(2.0, pi3)))
+    return cases
+
+
+class TestOracleKeepsTheNumpyBits:
+    """The plain-float oracle against the numpy form it replaced (where
+    numpy rounds fused here) and against exact rounding (everywhere)."""
+
+    @needs_fused_numpy
+    @given(inputs=oracle_inputs())
+    @settings(max_examples=600, deadline=None)
+    def test_numpy_form(self, inputs):
+        assert (_bits_of(superposition._oracle, *inputs)
+                == _bits_of(_numpy_oracle, *inputs))
+
+    @given(inputs=oracle_inputs())
+    @settings(max_examples=600, deadline=None)
+    def test_exact_reference(self, inputs):
+        assert (_bits_of(superposition._oracle, *inputs)
+                == _bits_of(_exact_oracle, *inputs))
+
+    @pytest.mark.parametrize("reference", [
+        pytest.param(_numpy_oracle, marks=needs_fused_numpy, id="numpy"),
+        pytest.param(_exact_oracle, id="exact"),
+    ])
+    def test_edges_and_annihilation(self, reference):
+        cases = _edge_cases()
+        outcomes = [_outcome(superposition._oracle, *case) for case in cases]
+        assert [repr(o) for o in outcomes] == [_bits_of(reference, *c) for c in cases]
+        assert sum(isinstance(o, tuple) for o in outcomes) >= len(EDGE_P3)
 
 
 def _weights_for_normalization(p, q, pi3, target):
