@@ -268,11 +268,7 @@ class DensityMatrix2(_Frozen):
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-        return cls._from_entries(*m.ravel().tolist())
-
-    @classmethod
-    def _from_entries(cls, m00, m01, m10, m11) -> "DensityMatrix2":
-        """from_array on the four entries of a 2x2 complex matrix."""
+        m00, m01, m10, m11 = m.ravel().tolist()
         if not (abs(m00.imag) <= HERMITIAN_TOL and abs(m11.imag) <= HERMITIAN_TOL
                 and abs(m10 - m01.conjugate()) <= HERMITIAN_TOL):
             raise DomainError("matrix is not Hermitian")

@@ -156,10 +156,11 @@ def _oracle(
             "the superposed vector has zero norm (exact destructive "
             "interference); no qubit state exists"
         )
-    inv, y0, y1 = 1.0 / norm2, x0.conjugate(), x1.conjugate()
-    rho = DensityMatrix2._from_entries(*[  # numpy's division by a real
-        complex((m.real + m.imag * 0.0) * inv, (m.imag - m.real * 0.0) * inv)
-        for m in (_cmul(x0, y0), _cmul(x0, y1), _cmul(x1, y0), _cmul(x1, y1))])
+    inv, m01 = 1.0 / norm2, _cmul(x0, x1.conjugate())  # numpy divides by a real
+    rho = DensityMatrix2(  # and adds m.imag * 0.0, a zero, to each real part
+        _fma(x0.real, x0.real, x0.imag * x0.imag) * inv,
+        complex((m01.real + m01.imag * 0.0) * inv, (m01.imag - m01.real * 0.0) * inv),
+        _fma(x1.real, x1.real, x1.imag * x1.imag) * inv)
     return SuperpositionResult(
         state=density_to_prob(rho), normalization=norm2, path="matrix_oracle"
     )

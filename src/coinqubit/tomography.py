@@ -8,19 +8,24 @@ projected away.
 
 Randomness comes from numpy's PCG64 seeded through a SeedSequence built
 from (seed, axis index), so the three per-axis streams are independent and
-every run is reproducible from the single 64-bit seed.  Each stream is
+every run is reproducible from the single integer seed.  Each stream is
 drawn in fixed chunks, which give the same bits as one draw, so memory does
 not grow with the number of flips.  ``run_experiment`` counts up to one
 slice of each stream per CPU in parallel, entered with ``PCG64.advance``
 (one 64-bit output per double): its bits do not depend on the CPU count,
-and the draws in flight total one chunk.  ``sample_flips``,
-``sample_outcomes`` and ``write_flips`` stay serial.
+and the draws in flight total one chunk; before numpy is loaded, it draws
+up to ``_PLAIN_MAX`` flips per axis from a plain-Python copy of the same
+streams, bit for bit.  ``sample_flips``, ``sample_outcomes`` and
+``write_flips`` stay serial and on numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
+import sys
 import threading
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -84,6 +89,9 @@ class EstimateReport(_Frozen):
 
 
 _CHUNK = 1 << 16  # draws per chunk: 512 KiB of float64
+_PLAIN_MAX = 4096  # flips per axis that run_experiment may draw without numpy
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 def _axis_rng(seed: int, axis_index: int) -> np.random.Generator:
@@ -91,6 +99,60 @@ def _axis_rng(seed: int, axis_index: int) -> np.random.Generator:
 
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(axis_index,))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's 32-bit hash from running constant h, multiplied by mult."""
+    def hash32(value: int) -> int:
+        nonlocal h
+        value, h = value ^ h, h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+    return hash32
+
+
+def _plain_doubles(seed: int, axis_index: int, n: int) -> list[float]:
+    """``_axis_rng(seed, axis_index).random(n)`` bit for bit, in plain Python:
+    numpy's SeedSequence pool and generate_state(4, uint64), PCG64's seeding,
+    its LCG step and XSL-RR output, and Generator.random's top 53 bits."""
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [axis_index]  # padded as for a spawn key
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(w))
+    out = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+    s0, s1, i0, i1 = (lo | hi << 32 for lo, hi in zip(out[::2], out[1::2]))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    doubles = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64  # XSL, then rotate right by state >> 122
+        doubles.append((((x << 64 | x) >> (state >> 122) & _M64) >> 11) * 2.0**-53)
+    return doubles
+
+
+def _check_draw(p: ProbabilityTriple, n_per_axis: int, seed: int) -> list[int]:
+    """p checked quantum; [n_per_axis, seed] checked ints >= 1 and >= 0."""
+    _require_quantum(p, "target state")
+    checked = []
+    for name, value, low in (("n_per_axis", n_per_axis, 1), ("seed", seed, 0)):
+        try:  # operator.index takes a bool for an int
+            checked.append(operator.index(None if isinstance(value, bool) else value))
+        except TypeError:
+            raise TypeError(
+                f"{name} must be an int, got {type(value).__name__}") from None
+        if checked[-1] < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    return checked
 
 
 def _up_chunks(
@@ -102,9 +164,7 @@ def _up_chunks(
 
     The inputs are checked on the call, the draws made as chunks are read.
     """
-    _require_quantum(p, "target state")
-    if n_per_axis < 1:
-        raise ValueError(f"n_per_axis must be positive, got {n_per_axis}")
+    n_per_axis, seed = _check_draw(p, n_per_axis, seed)
     hi = n_per_axis if hi is None else hi
 
     def chunks():
@@ -164,15 +224,6 @@ def estimate(
     return _fold(ups.values(), totals.values(), seed)
 
 
-def _count_ups(chunks: Iterator[tuple[int, int, np.ndarray]]) -> list[int]:
-    import numpy as np
-
-    ups = [0, 0, 0]
-    for i, _, up in chunks:
-        ups[i] += int(np.count_nonzero(up))
-    return ups
-
-
 def _csv_rows(axis: str, start: int, up: np.ndarray) -> str:
     """CRLF rows ``trial,axis,outcome`` of trials start, start + 1, ... with
     "up" booleans `up`, built in one byte buffer whose rows are padded with
@@ -215,7 +266,15 @@ def write_flips(
 def run_experiment(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> EstimateReport:
-    """Sample and estimate in one pass, one chunk in memory at a time."""
+    """Sample and estimate in one pass, one chunk in memory at a time; in
+    plain Python up to _PLAIN_MAX flips per axis while numpy is not loaded."""
+    n_per_axis, seed = _check_draw(p, n_per_axis, seed)
+    if n_per_axis <= _PLAIN_MAX and "numpy" not in sys.modules:
+        ups = [sum(map(prob.__gt__, _plain_doubles(seed, i, n_per_axis)))
+               for i, prob in enumerate((p.p1, p.p2, p.p3))]
+        return _fold(ups, (n_per_axis,) * 3, seed)
+    import numpy as np
+
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -229,8 +288,10 @@ def run_experiment(
     counts = [None] * parts
 
     def count(k: int) -> None:
+        ups = counts[k] = [0, 0, 0]
         try:
-            counts[k] = _count_ups(slices[k])
+            for i, _, up in slices[k]:
+                ups[i] += int(np.count_nonzero(up))
         except Exception as exc:  # raised below, after every join
             counts[k] = exc
 

@@ -803,15 +803,27 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     coinqubit.quantum_mean(CoinObservable(1, 2, 3, -1), ProbabilityTriple(0.6, 0.7, 0.8))
     loaded["oracle_and_mean"] = "numpy" in sys.modules
     loaded["handover"] = out.getvalue().count('"fallback_used": true')
-    assert main(["sample", *state, "--n", "10", "--seed", "1"]) == 0
-loaded["sample"] = "numpy" in sys.modules
+    for n in ("10", "4096", "4097"):  # the plain draw, at most _PLAIN_MAX flips
+        assert main(["sample", *state, "--n", n, "--seed", "1"]) == 0
+        loaded[f"sample {n}"] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
 
+FLIPS_PROBE = """
+import contextlib, io, sys
+from coinqubit.cli import main
 
-def test_numpy_loads_only_where_arrays_are_built():
-    """Only sample loads numpy: superpose (the oracle on every path, the
-    hand-over included) and mean run on plain floats."""
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["sample", "--p1", "0.6", "--p2", "0.5", "--p3", "0.7", "--n", "10",
+                 "--seed", "1", "--flips", sys.argv[1]])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_where_arrays_are_built(tmp_path):
+    """Only sample loads numpy, and only for --flips or more than
+    _PLAIN_MAX flips per axis: superpose (the oracle on every path, the
+    hand-over included), mean and a small sample run on plain floats."""
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE],
@@ -819,8 +831,14 @@ def test_numpy_loads_only_where_arrays_are_built():
     )
     assert json.loads(proc.stdout) == {
         "import": False, "scalar": False, "kernels": False,
-        "oracle_and_mean": False, "handover": 1, "sample": True,
+        "oracle_and_mean": False, "handover": 1,
+        "sample 10": False, "sample 4096": False, "sample 4097": True,
     }
+    proc = subprocess.run(
+        [sys.executable, "-c", FLIPS_PROBE, str(tmp_path / "flips.csv")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "0 True\n"
 
 
 def test_mean_near_the_float_maximum_prints_no_numpy_warning():

@@ -2,12 +2,17 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import pickle
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinqubit import (
     ClassicalStateError,
@@ -23,7 +28,9 @@ from coinqubit import (
 )
 from coinqubit import tomography
 from coinqubit.cli import main
-from coinqubit.tomography import _CHUNK, _axis_rng
+from coinqubit.tomography import _CHUNK, _PLAIN_MAX, _axis_rng, _plain_doubles
+
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 PURE_TARGET = ProbabilityTriple(
     0.5 + 0.4 * math.cos(0.7), 0.5 + 0.4 * math.sin(0.7), 0.8
@@ -235,6 +242,107 @@ class TestParallelCount:
         monkeypatch.setattr(tomography, "_up_chunks", failing)
         with pytest.raises(RuntimeError, match="slice failed"):
             run_experiment(PURE_TARGET, 2 * _CHUNK + 1, 41)
+
+
+class TestPlainStream:
+    """Without numpy loaded, run_experiment draws up to _PLAIN_MAX flips per
+    axis from a plain-Python copy of the numpy stream, bit for bit."""
+
+    @given(
+        seed=st.one_of(
+            st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                             2**128 - 1, 2**128, 2**200]),
+            st.integers(0, 2**64), st.integers(0, 2**200),
+        ),
+        axis=st.integers(0, 2),
+        n=st.integers(1, 300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_doubles_equal_numpys(self, seed, axis, n):
+        assert _plain_doubles(seed, axis, n) == _axis_rng(seed, axis).random(n).tolist()
+
+    def test_once_numpy_is_loaded_it_draws(self, monkeypatch):
+        def plain(*args):
+            raise AssertionError("the plain draw ran with numpy loaded")
+
+        monkeypatch.setattr(tomography, "_plain_doubles", plain)
+        assert "numpy" in sys.modules
+        assert run_experiment(PURE_TARGET, 10, 1).counts == (10, 10, 10)
+
+    RUN_PROBE = """
+import json, sys
+from coinqubit import ProbabilityTriple, run_experiment
+
+p, out = ProbabilityTriple(*json.loads(sys.argv[1])), []
+for n in json.loads(sys.argv[2]):
+    numpy_before = "numpy" in sys.modules
+    out.append([repr(run_experiment(p, n, int(sys.argv[3]))), numpy_before])
+print(json.dumps(out))
+"""
+
+    @pytest.mark.parametrize("seed, tie", [(3, False), (2**64 + 5, True)])
+    def test_counts_equal_numpys_on_both_sides_of_the_threshold(self, seed, tie):
+        ns = [_PLAIN_MAX - 1, _PLAIN_MAX, _PLAIN_MAX + 1]
+        coins = [PURE_TARGET.p1, PURE_TARGET.p2, PURE_TARGET.p3]
+        if tie:  # x's first draw equals its coin and counts as down, as in `< prob`
+            coins = [_axis_rng(seed, 0).random(1)[0].item(), 0.5, 0.5]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.RUN_PROBE, json.dumps(coins),
+             json.dumps(ns), str(seed)],
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        runs = json.loads(proc.stdout)
+        assert [numpy_before for _, numpy_before in runs] == [False, False, False]
+        for n, (fresh, _) in zip(ns, runs):
+            ups = [int(np.count_nonzero(_axis_rng(seed, i).random(n) < prob))
+                   for i, prob in enumerate(coins)]
+            report = run_experiment(ProbabilityTriple(*coins), n, seed)  # with numpy
+            assert report.p_hat == ProbabilityTriple(*(up / n for up in ups))
+            assert fresh == repr(report)
+
+
+class TestDrawArguments:
+    """One check of n_per_axis and seed for every draw: an int that is not a
+    bool, at least 1 and at least 0."""
+
+    DRAWS = {
+        "run_experiment": run_experiment,
+        "sample_outcomes": sample_outcomes,
+        "sample_flips": lambda p, n, seed: list(sample_flips(p, n, seed)),
+    }
+
+    @pytest.mark.parametrize("draw", DRAWS.values(), ids=DRAWS.keys())
+    @pytest.mark.parametrize("n, seed, error, message", [
+        (2.5, 1, TypeError, "n_per_axis must be an int, got float"),
+        ("10", 1, TypeError, "n_per_axis must be an int, got str"),
+        (True, 1, TypeError, "n_per_axis must be an int, got bool"),
+        (0, 1, ValueError, "n_per_axis must be at least 1, got 0"),
+        (-3, 1, ValueError, "n_per_axis must be at least 1, got -3"),
+        (10, None, TypeError, "seed must be an int, got NoneType"),
+        (10, True, TypeError, "seed must be an int, got bool"),
+        (10, 1.0, TypeError, "seed must be an int, got float"),
+        (10, -1, ValueError, "seed must be at least 0, got -1"),
+    ])
+    def test_rejects(self, draw, n, seed, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            draw(PURE_TARGET, n, seed)
+
+    @pytest.mark.parametrize("n, seed", [(0, None), (True, -1)])
+    def test_the_target_state_is_checked_first(self, n, seed):
+        with pytest.raises(ClassicalStateError):
+            run_experiment(ProbabilityTriple(1, 1, 1), n, seed)
+
+    def test_numpy_integers_are_ints(self):
+        report = run_experiment(PURE_TARGET, np.int64(500), np.uint64(2**63 + 1))
+        assert report == run_experiment(PURE_TARGET, 500, 2**63 + 1)
+        assert type(report.seed) is int and type(report.counts[0]) is int
+
+    def test_write_flips_checks_before_the_file_exists(self, tmp_path):
+        path = tmp_path / "flips.csv"
+        with pytest.raises(TypeError, match="^seed must be an int, got NoneType$"):
+            write_flips(PURE_TARGET, 10, None, str(path))
+        assert not path.exists()
 
 
 class TestFlipRecord:
