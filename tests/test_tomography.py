@@ -148,14 +148,15 @@ class TestWriteFlips:
         report = write_flips(PURE_TARGET, n, 9, str(tmp_path / "flips.csv"))
         assert report == run_experiment(PURE_TARGET, n, 9)
 
-    @pytest.mark.parametrize("p, n, error", [
-        (ProbabilityTriple(1, 1, 1), 5, ClassicalStateError),
-        (PURE_TARGET, 0, ValueError),
-    ], ids=["classical-target", "no-flips"])
-    def test_bad_inputs_raise_before_the_file_exists(self, tmp_path, p, n, error):
+    @pytest.mark.parametrize("p, n, seed, error", [
+        (ProbabilityTriple(1, 1, 1), 5, 1, ClassicalStateError),
+        (PURE_TARGET, 0, 1, ValueError),
+        (PURE_TARGET, 5, None, TypeError),
+    ], ids=["classical-target", "no-flips", "no-seed"])
+    def test_bad_inputs_raise_before_the_file_exists(self, tmp_path, p, n, seed, error):
         path = tmp_path / "flips.csv"
         with pytest.raises(error):
-            write_flips(p, n, 1, str(path))
+            write_flips(p, n, seed, str(path))
         assert not path.exists()
 
     def test_an_unwritable_path_raises_os_error(self, tmp_path):
@@ -337,12 +338,6 @@ class TestDrawArguments:
         report = run_experiment(PURE_TARGET, np.int64(500), np.uint64(2**63 + 1))
         assert report == run_experiment(PURE_TARGET, 500, 2**63 + 1)
         assert type(report.seed) is int and type(report.counts[0]) is int
-
-    def test_write_flips_checks_before_the_file_exists(self, tmp_path):
-        path = tmp_path / "flips.csv"
-        with pytest.raises(TypeError, match="^seed must be an int, got NoneType$"):
-            write_flips(PURE_TARGET, 10, None, str(path))
-        assert not path.exists()
 
 
 class TestFlipRecord:
