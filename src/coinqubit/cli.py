@@ -31,14 +31,13 @@ from .states import (
 
 SEED_ENV_VAR = "COIN_QUBIT_SEED"
 _NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+_JSON_MAX = 1 << 20  # characters read at most from a --state*, --weights or --obs file
 
 
 def _dumps(obj) -> str:
     """JSON text with floats at 17 significant digits."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if obj is None:
-        return "null"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -50,8 +49,6 @@ def _dumps(obj) -> str:
             f"{json.dumps(str(key))}: {_dumps(value)}" for key, value in obj.items()
         )
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dumps(value) for value in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -78,10 +75,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
-    """Parsed JSON file; an unreadable or malformed file is a DomainError."""
+    """Parsed JSON file; an unreadable, malformed or too long file is a DomainError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read(_JSON_MAX + 1)
+        if len(text) > _JSON_MAX:
+            raise ValueError(f"the file is longer than {_JSON_MAX} characters")
+        return json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read JSON file {path!r}: {exc}") from exc
 

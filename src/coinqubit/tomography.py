@@ -156,25 +156,15 @@ def _check_draw(p: ProbabilityTriple, n_per_axis: int, seed: int) -> list[int]:
 
 
 def _up_chunks(
-    p: ProbabilityTriple, n_per_axis: int, seed: int,
-    lo: int = 0, hi: int | None = None, chunk: int = _CHUNK,
+    p: ProbabilityTriple, seed: int, lo: int, hi: int, chunk: int = _CHUNK,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """(axis index, first trial, "up" booleans) per chunk of trials [lo, hi)
-    (all by default) of each axis, axis-major.
-
-    The inputs are checked on the call, the draws made as chunks are read.
-    """
-    n_per_axis, seed = _check_draw(p, n_per_axis, seed)
-    hi = n_per_axis if hi is None else hi
-
-    def chunks():
-        for i, prob in enumerate((p.p1, p.p2, p.p3)):
-            rng = _axis_rng(seed, i)
-            rng.bit_generator.advance(lo)  # one 64-bit output per double
-            for start in range(lo, hi, chunk):
-                yield i, start, rng.random(min(chunk, hi - start)) < prob
-
-    return chunks()
+    of each axis, axis-major, from inputs that passed ``_check_draw``."""
+    for i, prob in enumerate((p.p1, p.p2, p.p3)):
+        rng = _axis_rng(seed, i)
+        rng.bit_generator.advance(lo)  # one 64-bit output per double
+        for start in range(lo, hi, chunk):
+            yield i, start, rng.random(min(chunk, hi - start)) < prob
 
 
 def _fold(ups, totals, seed: int | None) -> EstimateReport:
@@ -191,11 +181,11 @@ def sample_outcomes(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> dict[str, np.ndarray]:
     """Boolean "up" arrays per axis; the vectorized core of the simulator."""
-    chunks = _up_chunks(p, n_per_axis, seed)
+    n_per_axis, seed = _check_draw(p, n_per_axis, seed)
     import numpy as np
 
     parts = ([], [], [])
-    for i, _, up in chunks:
+    for i, _, up in _up_chunks(p, seed, 0, n_per_axis):
         parts[i].append(up)
     return {axis: np.concatenate(part) for axis, part in zip(AXES, parts)}
 
@@ -203,12 +193,15 @@ def sample_outcomes(
 def sample_flips(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> Iterator[FlipRecord]:
-    """Yield flips axis-major: all x trials, then y, then z."""
-    for i, start, chunk in _up_chunks(p, n_per_axis, seed):
-        axis = AXES[i]
-        for trial, up in enumerate(chunk.tolist(), start):
-            # valid by construction, so FlipRecord's checks are skipped
-            yield tuple.__new__(FlipRecord, (axis, "up" if up else "down", trial))
+    """Flips axis-major: all x trials, then y, then z.  The inputs are
+    checked on the call, the flips drawn as they are read."""
+    n_per_axis, seed = _check_draw(p, n_per_axis, seed)
+    # valid by construction, so FlipRecord's checks are skipped
+    return (
+        tuple.__new__(FlipRecord, (AXES[i], "up" if up else "down", trial))
+        for i, start, chunk in _up_chunks(p, seed, 0, n_per_axis)
+        for trial, up in enumerate(chunk.tolist(), start)
+    )
 
 
 def estimate(
@@ -251,13 +244,13 @@ def write_flips(
     ``trial,axis,outcome``, CRLF rows) and return its estimate, which
     equals ``run_experiment``'s; each flip is drawn once, one chunk in
     memory at a time.  The inputs are checked before the file is created."""
-    chunks = _up_chunks(p, n_per_axis, seed)
+    n_per_axis, seed = _check_draw(p, n_per_axis, seed)
     import numpy as np
 
     ups = [0, 0, 0]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("trial,axis,outcome\r\n")
-        for i, start, up in chunks:
+        for i, start, up in _up_chunks(p, seed, 0, n_per_axis):
             ups[i] += int(np.count_nonzero(up))
             handle.write(_csv_rows(AXES[i], start, up))
     return _fold(ups, (n_per_axis,) * 3, seed)
@@ -282,7 +275,7 @@ def run_experiment(
     parts = max(1, min(cpus, n_per_axis // _CHUNK))
     ends = [n_per_axis * k // parts for k in range(parts + 1)]
     slices = [
-        _up_chunks(p, n_per_axis, seed, lo, hi, _CHUNK // parts)
+        _up_chunks(p, seed, lo, hi, _CHUNK // parts)
         for lo, hi in zip(ends, ends[1:])
     ]
     counts = [None] * parts

@@ -93,6 +93,20 @@ BAD_FILE_CONTENTS = {
         {"kind": "coin-state", "p1": 1, "p2": True, "p3": 0.5,
          "x": 0, "y": True, "z1": 0, "z2": 0}
     ),
+    "missing-field": json.dumps(
+        {"kind": "coin-state", "p1": 0.5, "p2": 0.5, "x": 0, "y": 0, "z1": 0}
+    ),
+    # a valid object, padded with spaces to one character over the cap
+    "over-the-cap": json.dumps(
+        {"kind": "coin-state", "p1": 0.5, "p2": 0.5, "p3": 0.5,
+         "x": 0, "y": 0, "z1": 0, "z2": 0}
+    ).ljust(2**20 + 1),
+}
+BAD_FILE_MESSAGES = {
+    ("--state", "missing-field"): "coin-state object is missing field 'p3'",
+    ("--obs", "missing-field"): "observable object is missing field 'z2'",
+    ("--state", "over-the-cap"): "longer than 1048576 characters",
+    ("--obs", "over-the-cap"): "longer than 1048576 characters",
 }
 
 
@@ -118,6 +132,28 @@ class TestBadFiles:
         error = json.loads(err)["error"]
         assert error["code"] == "domain"
         assert error["message"]
+        assert BAD_FILE_MESSAGES.get((flag, case), "") in error["message"]
+
+    def test_the_cap_is_one_mebibyte(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(ProbabilityTriple(0.5, 0.5, 1.0).to_json_dict())
+                        .ljust(2**20), encoding="utf-8")
+        assert run_json(capsys, "check", "--state", str(path))["class"] == "pure"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_an_endless_file_is_read_no_further_than_the_cap(self):
+        # under a 512 MiB address space, reading all of it ends in MemoryError
+        resource = pytest.importorskip("resource")
+        limit = 512 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "coinqubit.cli", "check", "--state", "/dev/zero"],
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), capture_output=True,
+            encoding="utf-8", timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == "domain" and "longer than" in error["message"]
 
     @pytest.mark.parametrize("argv", [
         ["render", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5", "--out"],
@@ -369,6 +405,15 @@ class TestSample:
             "--n", "100",
         )
         assert code == 1 and "seed" in err
+
+    def test_seed_env_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("COIN_QUBIT_SEED", "abc")
+        code, out, err = run_cli(
+            capsys, "sample", "--p1", "0.7", "--p2", "0.5", "--p3", "0.5",
+            "--n", "100",
+        )
+        assert code == 1 and out == ""
+        assert "COIN_QUBIT_SEED must be an integer, got 'abc'" in err
 
     def test_negative_seed_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinqubit import MalevichTriada, ProbabilityTriple, render_svg, triada_sides
+from coinqubit import (
+    DomainError,
+    MalevichTriada,
+    ProbabilityTriple,
+    render_svg,
+    triada_sides,
+)
 from coinqubit.malevich import SIDE_MAX
 from conftest import random_valid
 
@@ -47,6 +53,15 @@ class TestSides:
             assert triada_sides(rotated).sides() == pytest.approx(
                 (l2, l3, l1), abs=1e-12
             )
+
+    @pytest.mark.parametrize("sides, message", [
+        ((2.0, 0, 0), r"^L1 must lie in \[0, sqrt\(2\)\], got 2.0$"),
+        ((0, -0.1, 0), r"^L2 must lie in \[0, sqrt\(2\)\], got -0.1$"),
+        ((-0.1, 0, 0), r"^L1 must lie in \[0, sqrt\(2\)\], got -0.1$"),
+    ])
+    def test_constructor_rejects_a_side_off_the_range(self, sides, message):
+        with pytest.raises(DomainError, match=message):
+            MalevichTriada(*sides)
 
     def test_continuity_probe(self):
         # finite-difference Lipschitz probe on a grid: no jumps

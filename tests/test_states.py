@@ -245,6 +245,11 @@ class TestDensityBijection:
         with pytest.raises(DomainError):
             DensityMatrix2.from_array(np.array([[0.8, 0.0], [0.0, 0.8]]))
 
+    def test_from_array_rejects_wrong_shape(self):
+        with pytest.raises(DomainError,
+                           match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
+            DensityMatrix2.from_array(np.eye(3))
+
 
 class TestPurityAndFidelity:
     def test_purity_fixtures(self):

@@ -106,6 +106,11 @@ class TestWeights:
         with pytest.raises(DomainError, match=f"alpha must be finite, got {alpha!r}"):
             weights_for_phase(alpha)
 
+    @pytest.mark.parametrize("pi3", [1.5, -0.1, math.nan])
+    def test_weights_for_phase_rejects_pi3_off_the_unit_interval(self, pi3):
+        with pytest.raises(DomainError, match=f"^Pi3 must lie in \\[0, 1\\], got {pi3!r}$"):
+            weights_for_phase(0.3, pi3)
+
 
 def _spinor_ket(p):
     """The oracle's ket as it was built from prob_to_spinor."""
@@ -273,6 +278,12 @@ class TestGeneralClosedForm:
         for p, q in ((pole, other), (other, pole)):
             with pytest.raises(DomainError, match="sits at a pole"):
                 unit_normalization_phase(p, q)
+
+    @pytest.mark.parametrize("shift", [0.0, math.pi, -math.pi])
+    def test_unit_normalization_at_equal_phases_is_undefined(self, shift):
+        p, q = _on_circle(0.4, 1.0), _on_circle(0.7, 1.0 + shift)
+        with pytest.raises(DomainError, match="phases coincide modulo pi"):
+            unit_normalization_phase(p, q)
 
     def test_normalization_positive(self, rng):
         for _ in range(200):

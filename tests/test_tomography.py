@@ -190,9 +190,9 @@ class TestParallelCount:
         calls = []
         real = tomography._up_chunks
 
-        def recording(p, n, seed, lo=0, hi=None, chunk=_CHUNK):
+        def recording(p, seed, lo, hi, chunk=_CHUNK):
             calls.append((lo, hi, chunk))
-            return real(p, n, seed, lo, hi, chunk)
+            return real(p, seed, lo, hi, chunk)
 
         def pretend(cpus):
             monkeypatch.setattr(
@@ -233,8 +233,8 @@ class TestParallelCount:
         slices(2)
         recording = tomography._up_chunks
 
-        def failing(p, n, seed, lo=0, hi=None, chunk=_CHUNK):
-            chunks = recording(p, n, seed, lo, hi, chunk)
+        def failing(p, seed, lo, hi, chunk=_CHUNK):
+            chunks = recording(p, seed, lo, hi, chunk)
             for item in chunks:
                 if lo > 0:
                     raise RuntimeError("slice failed")
@@ -310,7 +310,7 @@ class TestDrawArguments:
     DRAWS = {
         "run_experiment": run_experiment,
         "sample_outcomes": sample_outcomes,
-        "sample_flips": lambda p, n, seed: list(sample_flips(p, n, seed)),
+        "sample_flips": sample_flips,  # raises on the call, before any flip is read
     }
 
     @pytest.mark.parametrize("draw", DRAWS.values(), ids=DRAWS.keys())
@@ -329,10 +329,35 @@ class TestDrawArguments:
         with pytest.raises(error, match=f"^{message}$"):
             draw(PURE_TARGET, n, seed)
 
+    @pytest.mark.parametrize("draw", [*DRAWS, "write_flips"])
+    def test_each_draw_checks_once(self, monkeypatch, tmp_path, draw):
+        # two CPUs and three chunks per axis: run_experiment counts two slices
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        checks = []
+        real = tomography._check_draw
+
+        def counting(*args):
+            checks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tomography, "_check_draw", counting)
+        draws = {**self.DRAWS, "write_flips": lambda p, n, seed: write_flips(
+            p, n, seed, str(tmp_path / "flips.csv"))}
+        result = draws[draw](PURE_TARGET, 2 * _CHUNK + 1, 4)
+        if draw == "sample_flips":
+            estimate(result)  # draws every flip
+        assert len(checks) == 1
+
     @pytest.mark.parametrize("n, seed", [(0, None), (True, -1)])
     def test_the_target_state_is_checked_first(self, n, seed):
         with pytest.raises(ClassicalStateError):
             run_experiment(ProbabilityTriple(1, 1, 1), n, seed)
+
+    @pytest.mark.parametrize("draw", DRAWS.values(), ids=DRAWS.keys())
+    def test_a_classical_target_raises_on_the_call(self, draw):
+        with pytest.raises(ClassicalStateError):
+            draw(ProbabilityTriple(1, 1, 1), 5, 1)
 
     def test_numpy_integers_are_ints(self):
         report = run_experiment(PURE_TARGET, np.int64(500), np.uint64(2**63 + 1))
