@@ -105,8 +105,10 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
         raise DomainError(f"mean overflows: matrix trace {value}")
     gap = abs(value - classical_sum)
     # rounding error scales with the terms, which can cancel in the result
-    if not (gap < MEAN_IDENTITY_TOL * (1.0 + abs(value))
-            or gap < MEAN_IDENTITY_TOL * (1.0 + max(map(abs, means)))):
+    # and in the z mean; their magnitudes bound |value| and every |mean|
+    scale = (abs(means[0]) + abs(means[1])
+             + abs(obs.z1 * p.p3) + abs(obs.z2 * (1.0 - p.p3)))
+    if not gap < MEAN_IDENTITY_TOL * (1.0 + scale):
         raise ArithmeticError(
             f"matrix trace {value} and classical sum {classical_sum} disagree"
         )

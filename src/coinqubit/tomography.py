@@ -16,7 +16,9 @@ slice of each stream per CPU in parallel, entered with ``PCG64.advance``
 and the draws in flight total one chunk; before numpy is loaded, it draws
 up to ``_PLAIN_MAX`` flips per axis from a plain-Python copy of the same
 streams, bit for bit.  ``sample_flips``, ``sample_outcomes`` and
-``write_flips`` stay serial and on numpy.
+``write_flips`` stay serial and on numpy; ``sample_flips`` builds each
+chunk's records in C, ``map`` calling ``tuple.__new__`` on zipped rows,
+with no Python frame per flip.
 """
 
 from __future__ import annotations
@@ -196,11 +198,16 @@ def sample_flips(
     """Flips axis-major: all x trials, then y, then z.  The inputs are
     checked on the call, the flips drawn as they are read."""
     n_per_axis, seed = _check_draw(p, n_per_axis, seed)
-    # valid by construction, so FlipRecord's checks are skipped
-    return (
-        tuple.__new__(FlipRecord, (AXES[i], "up" if up else "down", trial))
-        for i, start, chunk in _up_chunks(p, seed, 0, n_per_axis)
-        for trial, up in enumerate(chunk.tolist(), start)
+    import numpy as np
+
+    # valid by construction, so FlipRecord's checks are skipped: map calls
+    # tuple.__new__(FlipRecord, row) in C, with no Python frame per flip
+    faces = np.array(("down", "up"), dtype=object)
+    return itertools.chain.from_iterable(
+        map(tuple.__new__, itertools.repeat(FlipRecord), zip(
+            itertools.repeat(AXES[i]), faces[up.view(np.uint8)].tolist(),
+            range(start, start + len(up))))
+        for i, start, up in _up_chunks(p, seed, 0, n_per_axis)
     )
 
 

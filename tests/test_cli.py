@@ -50,13 +50,15 @@ class TestCheck:
 
     def test_state_file(self, capsys, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(ProbabilityTriple(0.5, 0.5, 1.0).to_json_dict()))
+        path.write_text(json.dumps(ProbabilityTriple(0.5, 0.5, 1.0).to_json_dict()),
+                        encoding="utf-8")
         payload = run_json(capsys, "check", "--state", str(path))
         assert payload["class"] == "pure"
 
     def test_flags_and_file_conflict(self, capsys, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps({"kind": "coin-state", "p1": 1, "p2": 1, "p3": 1}))
+        path.write_text(json.dumps({"kind": "coin-state", "p1": 1, "p2": 1, "p3": 1}),
+                        encoding="utf-8")
         code, _, err = run_cli(
             capsys, "check", "--p1", "1", "--p2", "1", "--p3", "1",
             "--state", str(path),
@@ -121,7 +123,7 @@ class TestBadFiles:
         if case == "directory":
             path.mkdir()
         elif case != "missing":
-            path.write_text(BAD_FILE_CONTENTS[case])
+            path.write_text(BAD_FILE_CONTENTS[case], encoding="utf-8")
         if flag == "--state":
             argv = ["check", "--state", str(path)]
         else:
@@ -342,7 +344,8 @@ class TestRender:
             "--scale", "100", "--labels",
         )
         assert code == 0
-        golden = (DATA_DIR / "triada_mixed_scale100_labels.svg").read_text()
+        golden = (DATA_DIR / "triada_mixed_scale100_labels.svg").read_text(
+            encoding="utf-8")
         assert out == golden
 
     def test_out_file_and_validity(self, capsys, tmp_path):
@@ -354,7 +357,7 @@ class TestRender:
             "--out", str(path),
         )
         assert code == 0 and out == ""
-        root = ET.fromstring(path.read_text())
+        root = ET.fromstring(path.read_text(encoding="utf-8"))
         assert root.tag.endswith("svg")
 
     def test_bad_scale_is_usage_error(self, capsys):
@@ -430,7 +433,7 @@ class TestSample:
             "--p1", "0.5", "--p2", "0.5", "--p3", "1",
             "--n", "5", "--seed", "1", "--flips", str(path),
         )
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["trial", "axis", "outcome"]
         assert len(rows) == 16
@@ -462,7 +465,8 @@ class TestMean:
 
     def test_obs_file(self, capsys, tmp_path):
         path = tmp_path / "obs.json"
-        path.write_text(json.dumps({"x": 0, "y": 0, "z1": 1, "z2": -1}))
+        path.write_text(json.dumps({"x": 0, "y": 0, "z1": 1, "z2": -1}),
+                        encoding="utf-8")
         payload = run_json(
             capsys, "mean", "--p1", "0.5", "--p2", "0.5", "--p3", "1",
             "--obs", str(path),
@@ -510,6 +514,17 @@ class TestMean:
             '{"x": 9.7523978035375541e+307, "y": -7.9796719514720498e+305, '
             '"z": -9.6732578529947953e+307}}\n'
         )
+
+    def test_a_z_mean_that_cancels_to_zero(self, capsys):
+        """The trace absorbs the y mean into terms near the float maximum."""
+        code, out, err = run_cli(
+            capsys, "mean", "--p1", "0.7701511529340699",
+            "--p2", "0.9207354924039483", "--p3", "0.5",
+            "--x", "0", "--y", "1", "--z1", "1.7e308", "--z2", "-1.7e308",
+        )
+        assert (code, err) == (0, "")
+        assert out == ('{"mean": 0, "classical_means": '
+                       '{"x": 0, "y": 0.8414709848078965, "z": 0}}\n')
 
 
 class TestDispatch:
@@ -563,7 +578,7 @@ class TestDispatch:
         assert payload["radius2"] == expected
 
 
-TRANSCRIPT = json.loads((DATA_DIR / "cli_transcript.json").read_text())
+TRANSCRIPT = json.loads((DATA_DIR / "cli_transcript.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
@@ -764,7 +779,7 @@ class TestFailingStreams:
         return subprocess.run(
             ["sh", "-c", f'exec "$@" {redirect}', "sh",
              sys.executable, *self.ENTRY, *argv],
-            env=env, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
+            env=env, stderr=subprocess.PIPE, encoding="utf-8", timeout=60, **kwargs,
         )
 
     @staticmethod
@@ -872,7 +887,7 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
     )
     assert json.loads(proc.stdout) == {
         "import": False, "scalar": False, "kernels": False,
@@ -881,7 +896,7 @@ def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     }
     proc = subprocess.run(
         [sys.executable, "-c", FLIPS_PROBE, str(tmp_path / "flips.csv")],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
     )
     assert proc.stdout == "0 True\n"
 
@@ -896,7 +911,7 @@ def test_mean_near_the_float_maximum_prints_no_numpy_warning():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run(
         [sys.executable, "-m", "coinqubit.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, encoding="utf-8", timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (
@@ -944,7 +959,7 @@ def test_serial_requests_start_no_thread():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run(
         [sys.executable, "-c", THREAD_PROBE],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
     )
     expected = [False, False, 1]
     assert json.loads(proc.stdout) == {"serial": expected, "parallel": expected}

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinqubit import (
@@ -219,6 +219,8 @@ def _mean_outcome(f, obs, p):
 
 @needs_fused_numpy
 @given(inputs=mean_inputs())
+@example(inputs=(CoinObservable(0.0, 1.0, 1.7e308, -1.7e308),  # the z mean cancels
+                 ProbabilityTriple(0.7701511529340699, 0.9207354924039483, 0.5)))
 @settings(max_examples=500, deadline=None)
 def test_quantum_mean_keeps_the_bits_of_the_numpy_form(inputs):
     """Value or error message, against the numpy arithmetic it replaced."""

@@ -148,7 +148,7 @@ def test_submodules_load_on_first_use():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
     )
     assert json.loads(proc.stdout) == {
         "import": [],
@@ -209,4 +209,5 @@ def test_the_readme_library_tour_runs(tmp_path, monkeypatch):
     assert len(blocks) == 1
     monkeypatch.chdir(tmp_path)
     exec(compile(blocks[0], "README.md", "exec"), {})
-    assert (tmp_path / "flips.csv").read_text().startswith("trial,axis,outcome\n")
+    csv_text = (tmp_path / "flips.csv").read_text(encoding="utf-8")
+    assert csv_text.startswith("trial,axis,outcome\n")

@@ -28,7 +28,9 @@ from coinqubit import (
 )
 from coinqubit import tomography
 from coinqubit.cli import main
-from coinqubit.tomography import _CHUNK, _PLAIN_MAX, _axis_rng, _plain_doubles
+from coinqubit.tomography import (
+    AXES, _CHUNK, _PLAIN_MAX, _axis_rng, _plain_doubles, _up_chunks,
+)
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -291,7 +293,7 @@ print(json.dumps(out))
             [sys.executable, "-c", self.RUN_PROBE, json.dumps(coins),
              json.dumps(ns), str(seed)],
             env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
-            capture_output=True, text=True, timeout=60, check=True,
+            capture_output=True, encoding="utf-8", timeout=60, check=True,
         )
         runs = json.loads(proc.stdout)
         assert [numpy_before for _, numpy_before in runs] == [False, False, False]
@@ -429,6 +431,45 @@ class TestFlipRecord:
         monkeypatch.setattr(tomography, "FlipRecord", CountingRecord)
         flips = list(sample_flips(PURE_TARGET, 10, 13))
         assert len(flips) == 30 and calls == []
+
+
+def _per_flip_stream(p, n_per_axis, seed):
+    """sample_flips as it was written with one generator step per flip,
+    before it built each chunk's records with map."""
+    return (
+        tuple.__new__(FlipRecord, (AXES[i], "up" if up else "down", trial))
+        for i, start, chunk in _up_chunks(p, seed, 0, n_per_axis)
+        for trial, up in enumerate(chunk.tolist(), start)
+    )
+
+
+class TestRecordStream:
+    """sample_flips builds each chunk's records in C: the same records as
+    one generator step per flip, drawn one chunk at a time."""
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 + 5])
+    @pytest.mark.parametrize(
+        "n", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_records_equal_the_per_flip_stream(self, n, seed):
+        pairs = itertools.zip_longest(
+            sample_flips(PURE_TARGET, n, seed), _per_flip_stream(PURE_TARGET, n, seed))
+        assert [(got, want) for got, want in pairs
+                if type(got) is not FlipRecord or got != want] == []
+
+    def test_the_first_record_draws_one_chunk(self, monkeypatch):
+        first = next(_per_flip_stream(PURE_TARGET, 10**9, 0))
+        drawn = []
+
+        def counting(*args):
+            for item in _up_chunks(*args):
+                drawn.append(item[:2])
+                yield item
+
+        monkeypatch.setattr(tomography, "_up_chunks", counting)
+        flips = sample_flips(PURE_TARGET, 10**9, 0)
+        assert drawn == []
+        assert next(flips) == first and drawn == [(0, 0)]
+        assert next(flips).trial == 1 and drawn == [(0, 0)]
 
 
 class TestEstimate:
