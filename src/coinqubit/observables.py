@@ -78,9 +78,9 @@ def second_moments(
 def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
     """Tr(rho H), computed by explicit matrix trace.
 
-    Plain floats round the diagonal of rho @ H as numpy's 2x2 complex matmul
-    (zgemm) does with fused multiply-adds, and sum it as np.trace does:
-    0.0 + d11 turns -0.0 into +0.0.
+    Plain floats give np.trace(rho @ H)'s bits: zgemm's fused steps on the
+    zero imaginary parts of rho00, z1, rho11 and z2 are exact, so each entry
+    keeps two; 0.0 + d11 turns -0.0 into +0.0, as np.trace's sum does.
     The value always equals the sum of the three classical means; the
     identity is checked here so a drift between the two routes cannot go
     unnoticed.  Finite coefficients near the float maximum can overflow
@@ -94,13 +94,10 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
         raise DomainError(f"mean overflows: classical sum {classical_sum}")
     rho = prob_to_density(p)
     h01, h10 = obs.x - 1j * obs.y, obs.x + 1j * obs.y  # as matrix() builds them
-
-    def diagonal(a, b, u, v) -> float:  # Re(a*b + u*v), accumulated as zgemm does
-        return _fma(u.real, v.real, _fma(-u.imag, v.imag,
-                                         _fma(a.real, b.real, -(a.imag * b.imag))))
-
-    value = (diagonal(rho.rho00, obs.z1, rho.rho01, h10)
-             + (0.0 + diagonal(rho.rho10, h01, rho.rho11, obs.z2)))
+    r01, r10 = rho.rho01, rho.rho10
+    value = (_fma(r01.real, h10.real, _fma(-r01.imag, h10.imag, rho.rho00 * obs.z1))
+             + (0.0 + _fma(rho.rho11, obs.z2,
+                           _fma(r10.real, h01.real, -(r10.imag * h01.imag)))))
     if not math.isfinite(value):
         raise DomainError(f"mean overflows: matrix trace {value}")
     gap = abs(value - classical_sum)

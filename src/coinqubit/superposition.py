@@ -143,12 +143,14 @@ def superpose_oracle(
 def _oracle(
     p: ProbabilityTriple, q: ProbabilityTriple, w: SuperpositionWeights
 ) -> SuperpositionResult:
-    """superpose_oracle on inputs already checked pure, in plain floats that
-    round as numpy rounds chi = c1*ket(p) + c2*ket(q), np.vdot(chi, chi) and
-    np.multiply.outer(chi, chi.conj()) / norm2 with fused multiply-adds."""
-    c1, c2 = complex(w.c1, 0.0), w.c2  # numpy's cast of the real c1
+    """superpose_oracle on checked inputs, in plain floats that print numpy's
+    bits for chi = c1*ket(p) + c2*ket(q), np.vdot(chi, chi) and
+    np.multiply.outer(chi, chi.conj()) / norm2.  Only the fused roundings that
+    reach an output stay; the others could move only rho11, which the trace
+    check alone reads, or a zero's sign that squares and 1/2 +- rho01 drop."""
+    c1, c2 = w.c1, w.c2
     (a0, a1), (b0, b1) = _ket(p), _ket(q)
-    x0, x1 = c1 * a0 + _cmul(c2, b0), c1 * a1 + _cmul(c2, b1)
+    x0, x1 = c1 * a0 + c2 * b0, c1 * a1 + _cmul(c2, b1)  # a0 and b0 are real
     norm2 = (_fma(x1.real, x1.real, x0.real * x0.real)
              + _fma(x1.imag, x1.imag, x0.imag * x0.imag))
     if norm2 <= ANNIHILATION_TOL:
@@ -156,11 +158,10 @@ def _oracle(
             "the superposed vector has zero norm (exact destructive "
             "interference); no qubit state exists"
         )
-    inv, m01 = 1.0 / norm2, _cmul(x0, x1.conjugate())  # numpy divides by a real
-    rho = DensityMatrix2(  # and adds m.imag * 0.0, a zero, to each real part
-        _fma(x0.real, x0.real, x0.imag * x0.imag) * inv,
-        complex((m01.real + m01.imag * 0.0) * inv, (m01.imag - m01.real * 0.0) * inv),
-        _fma(x1.real, x1.real, x1.imag * x1.imag) * inv)
+    inv = 1.0 / norm2
+    rho = DensityMatrix2(_fma(x0.real, x0.real, x0.imag * x0.imag) * inv,
+                         _cmul(x0, x1.conjugate()) * inv,
+                         (x1.real * x1.real + x1.imag * x1.imag) * inv)
     return SuperpositionResult(
         state=density_to_prob(rho), normalization=norm2, path="matrix_oracle"
     )

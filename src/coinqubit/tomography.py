@@ -182,7 +182,8 @@ def _fold(ups, totals, seed: int | None) -> EstimateReport:
 def sample_outcomes(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> dict[str, np.ndarray]:
-    """Boolean "up" arrays per axis; the vectorized core of the simulator."""
+    """Boolean "up" arrays per axis, joined from the same chunked streams the
+    other samplers read; a public helper that no other function here calls."""
     n_per_axis, seed = _check_draw(p, n_per_axis, seed)
     import numpy as np
 

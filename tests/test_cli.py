@@ -334,6 +334,11 @@ class TestPartnerAndTriada:
         t = triada_sides(ProbabilityTriple(0.5, 0.5, 1))
         assert (payload["L1"], payload["L2"], payload["L3"]) == t.sides()
 
+    def test_triada_clamps_a_radicand_just_below_zero(self, capsys):
+        payload = run_json(capsys, "triada", "--p1", "0.9999999912882298",
+                           "--p2", "8.070268367197516e-09", "--p3", "0.5")
+        assert payload["L1"] == 0.0
+
 
 class TestRender:
     def test_golden(self, capsys):

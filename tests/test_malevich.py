@@ -14,9 +14,11 @@ from coinqubit import (
     triada_sides,
 )
 from coinqubit.malevich import SIDE_MAX
+from coinqubit.states import SPILL_TOL
 from conftest import random_valid
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+probs = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestSides:
@@ -31,6 +33,32 @@ class TestSides:
     def test_fixtures(self, triple, expected):
         sides = triada_sides(ProbabilityTriple(*triple)).sides()
         assert sides == pytest.approx(expected, abs=1e-12)
+
+    def test_a_radicand_just_below_zero_is_clamped(self):
+        # L1's radicand rounds to about -1.04e-17, inside SPILL_TOL; math.sqrt
+        # would raise on it unclamped
+        p1, p2 = 0.9999999912882298, 8.070268367197516e-09
+        radicand = 2 + 2 * p1 * p1 - 4 * p1 - 2 * p2 + 2 * p2 * p2 + 2 * p1 * p2
+        assert -SPILL_TOL < radicand < 0.0
+        assert triada_sides(ProbabilityTriple(p1, p2, 0.5)).L1 == 0.0
+
+    @given(p=st.tuples(probs, probs, probs))
+    @settings(max_examples=2000, deadline=None)
+    def test_square_areas(self, p):
+        """L1^2 + L2^2 + L3^2 = 3/2 + 4 sum x_i^2 + 2 sum x_i x_j, x_i = p_i - 1/2."""
+        x1, x2, x3 = (v - 0.5 for v in p)
+        sides = triada_sides(ProbabilityTriple(*p)).sides()
+        expected = (1.5 + 4 * (x1 * x1 + x2 * x2 + x3 * x3)
+                    + 2 * (x1 * x2 + x2 * x3 + x3 * x1))
+        assert sum(s * s for s in sides) == pytest.approx(expected, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("triple, total", [
+        ((0.5 + 0.5 / math.sqrt(3.0),) * 3, 3.0),  # the largest inside the ball
+        ((0.0, 0.0, 0.0), 6.0),  # a cube corner
+    ])
+    def test_square_areas_at_their_extremes(self, triple, total):
+        sides = triada_sides(ProbabilityTriple(*triple)).sides()
+        assert sum(s * s for s in sides) == pytest.approx(total, rel=0, abs=1e-14)
 
     def test_corner_maximum(self):
         # exhaustive corner check: the side polynomial peaks at sqrt(2)

@@ -155,8 +155,10 @@ def _trace_cases(rng):
     big = sys.float_info.max
     points = [ProbabilityTriple(*p) for p in
               ((0.5, 0.5, 0.5), (0.5, 0.5, 1.0), (0.5, 0.5, 0.0), (1.0, 0.5, 0.5))]
+    # (-1, 1, -0, -0) at (0.5, 0.5, 1) gives d00 = d11 = -0.0, a trace of +0.0
     cases = [(CoinObservable(*signs), p) for p in points
-             for signs in ((-0.0,) * 4, (0.0,) * 4, (-0.0, 0.0, -0.0, 0.0))]
+             for signs in ((-0.0,) * 4, (0.0,) * 4, (-0.0, 0.0, -0.0, 0.0),
+                           (-1.0, 1.0, -0.0, -0.0))]
     for _ in range(2000):
         p = random_quantum(rng)
         cases.append((CoinObservable(*rng.uniform(-2, 2, size=4)), p))

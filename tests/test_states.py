@@ -3,6 +3,7 @@ import cmath
 import json
 import math
 import pathlib
+import random
 import sys
 
 import numpy as np
@@ -520,6 +521,34 @@ class TestFma:
     ])
     def test_matches_ieee(self, a, b, c, expected):
         assert _bits(_fma(a, b, c)) == _bits(expected)
+
+    @pytest.mark.skipif(not hasattr(math, "fma"), reason="math.fma is new in 3.13")
+    def test_matches_math_fma(self):
+        """Python's own fused multiply-add, on seeded edge-heavy triples.
+        Where it raises (OverflowError on overflow, ValueError on inf*0),
+        _fma returns IEEE's +-inf or nan."""
+        r = random.Random(20261019)
+        edges = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, MAX, -MAX, _FMA_LO,
+                 _FMA_HI, sys.float_info.min, math.inf, -math.inf, math.nan]
+
+        def draw():
+            k = r.random()
+            if k < 0.2:
+                return r.choice(edges)
+            if k < 0.5:
+                return r.uniform(-2.0, 2.0)
+            return math.ldexp(r.uniform(-1.0, 1.0), r.randint(-1080, 1024))
+
+        for _ in range(100000):
+            a, b = draw(), draw()
+            c = -(a * b) if r.random() < 0.2 else draw()  # cancellation
+            try:
+                expected = _bits(math.fma(a, b, c))
+            except OverflowError:
+                expected = _bits(math.copysign(math.inf, exact_fma(a, b, c)))
+            except ValueError:
+                expected = _bits(math.nan)
+            assert _bits(_fma(a, b, c)) == expected, (a, b, c)
 
     @given(x=st.complex_numbers(allow_nan=False, allow_infinity=False),
            y=st.complex_numbers(allow_nan=False, allow_infinity=False))
