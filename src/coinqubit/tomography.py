@@ -90,7 +90,7 @@ class EstimateReport(_Frozen):
         _set(self, "seed", seed)
 
 
-_CHUNK = 1 << 16  # draws per chunk: 512 KiB of float64
+_CHUNK = 1 << 16  # draws per chunk: 512 KiB of uint64, one chunk per slice
 _PLAIN_MAX = 4096  # flips per axis that run_experiment may draw without numpy
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
@@ -113,10 +113,10 @@ def _hasher(h: int, mult: int):
     return hash32
 
 
-def _plain_doubles(seed: int, axis_index: int, n: int) -> list[float]:
-    """``_axis_rng(seed, axis_index).random(n)`` bit for bit, in plain Python:
-    numpy's SeedSequence pool and generate_state(4, uint64), PCG64's seeding,
-    its LCG step and XSL-RR output, and Generator.random's top 53 bits."""
+def _plain_raw(seed: int, axis_index: int, n: int) -> list[int]:
+    """``_axis_rng(seed, axis_index).bit_generator.random_raw(n)`` bit for
+    bit, in plain Python: numpy's SeedSequence pool and generate_state(4,
+    uint64), PCG64's seeding, its LCG step and its XSL-RR output."""
     words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words)) + [axis_index]  # padded as for a spawn key
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
@@ -134,12 +134,18 @@ def _plain_doubles(seed: int, axis_index: int, n: int) -> list[float]:
     s0, s1, i0, i1 = (lo | hi << 32 for lo, hi in zip(out[::2], out[1::2]))
     inc = ((i0 << 64 | i1) << 1 | 1) & _M128
     state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-    doubles = []
+    raw = []
     for _ in range(n):
         state = (state * _PCG_MULT + inc) & _M128
         x = (state >> 64 ^ state) & _M64  # XSL, then rotate right by state >> 122
-        doubles.append((((x << 64 | x) >> (state >> 122) & _M64) >> 11) * 2.0**-53)
-    return doubles
+        raw.append((x << 64 | x) >> (state >> 122) & _M64)
+    return raw
+
+
+def _top(prob: float) -> int:
+    """Largest 64-bit output x whose double (x >> 11) * 2**-53 lies below prob
+    (-1 for none): k * 2**-53 < prob exactly when k < ceil(prob * 2**53)."""
+    return (math.ceil(prob * 2.0**53) << 11) - 1
 
 
 def _check_draw(p: ProbabilityTriple, n_per_axis: int, seed: int) -> list[int]:
@@ -158,15 +164,19 @@ def _check_draw(p: ProbabilityTriple, n_per_axis: int, seed: int) -> list[int]:
 
 
 def _up_chunks(
-    p: ProbabilityTriple, seed: int, lo: int, hi: int, chunk: int = _CHUNK,
+    p: ProbabilityTriple, seed: int, lo: int, hi: int,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """(axis index, first trial, "up" booleans) per chunk of trials [lo, hi)
-    of each axis, axis-major, from inputs that passed ``_check_draw``."""
+    of each axis, axis-major, from inputs that passed ``_check_draw``: a
+    trial is up where ``Generator.random`` would draw below the coin."""
     for i, prob in enumerate((p.p1, p.p2, p.p3)):
-        rng = _axis_rng(seed, i)
-        rng.bit_generator.advance(lo)  # one 64-bit output per double
-        for start in range(lo, hi, chunk):
-            yield i, start, rng.random(min(chunk, hi - start)) < prob
+        bits = _axis_rng(seed, i).bit_generator
+        bits.advance(lo)  # one 64-bit output per flip
+        top = _top(prob)
+        # no output is up where top = -1, whatever numpy makes of uint64 <= -1
+        up, bound = (operator.le, top) if top >= 0 else (operator.lt, 0)
+        for start in range(lo, hi, _CHUNK):
+            yield i, start, up(bits.random_raw(min(_CHUNK, hi - start)), bound)
 
 
 def _fold(ups, totals, seed: int | None) -> EstimateReport:
@@ -267,11 +277,12 @@ def write_flips(
 def run_experiment(
     p: ProbabilityTriple, n_per_axis: int, seed: int
 ) -> EstimateReport:
-    """Sample and estimate in one pass, one chunk in memory at a time; in
+    """Sample and estimate in one pass, counting up to one slice of each
+    stream per CPU on threads, each slice one chunk in memory at a time; in
     plain Python up to _PLAIN_MAX flips per axis while numpy is not loaded."""
     n_per_axis, seed = _check_draw(p, n_per_axis, seed)
     if n_per_axis <= _PLAIN_MAX and "numpy" not in sys.modules:
-        ups = [sum(map(prob.__gt__, _plain_doubles(seed, i, n_per_axis)))
+        ups = [sum(map(_top(prob).__ge__, _plain_raw(seed, i, n_per_axis)))
                for i, prob in enumerate((p.p1, p.p2, p.p3))]
         return _fold(ups, (n_per_axis,) * 3, seed)
     import numpy as np
@@ -282,10 +293,7 @@ def run_experiment(
         cpus = os.cpu_count() or 1
     parts = max(1, min(cpus, n_per_axis // _CHUNK))
     ends = [n_per_axis * k // parts for k in range(parts + 1)]
-    slices = [
-        _up_chunks(p, seed, lo, hi, _CHUNK // parts)
-        for lo, hi in zip(ends, ends[1:])
-    ]
+    slices = [_up_chunks(p, seed, lo, hi) for lo, hi in zip(ends, ends[1:])]
     counts = [None] * parts
 
     def count(k: int) -> None:

@@ -1,11 +1,19 @@
+from __future__ import annotations
+
+import functools
 import math
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
 import pytest
 
 from coinqubit import ProbabilityTriple
+
+# numpy is imported by the helpers that need it, so the tests that do not
+# (marked by the absence of needs_numpy) run where numpy is not installed
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def random_pure(rng: np.random.Generator, z_margin: float = 0.0) -> ProbabilityTriple:
@@ -24,6 +32,8 @@ def random_pure(rng: np.random.Generator, z_margin: float = 0.0) -> ProbabilityT
 
 def random_quantum(rng: np.random.Generator) -> ProbabilityTriple:
     """Uniform triple inside the correlation ball."""
+    import numpy as np
+
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     radius = 0.5 * rng.uniform() ** (1.0 / 3.0)
@@ -38,6 +48,8 @@ def random_valid(rng: np.random.Generator) -> ProbabilityTriple:
 
 @pytest.fixture
 def rng() -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(20260823)
 
 
@@ -67,10 +79,13 @@ def exact_cmul(x: complex, y: complex) -> complex:
                    exact_fma(x.real, y.imag, x.imag * y.real))
 
 
+@functools.cache
 def _numpy_rounds_fused() -> bool:
     """Whether numpy's complex128 multiply, np.vdot and 2x2 complex matmul
     round with fused multiply-adds on this machine (as with AVX2 or AVX-512
     kernels), which the plain-float oracle and quantum_mean reproduce."""
+    import numpy as np
+
     r = random.Random(1803)
     for _ in range(200):
         x, y, u, v = (complex(r.uniform(-1, 1), r.uniform(-1, 1)) for _ in range(4))
@@ -86,10 +101,14 @@ def _numpy_rounds_fused() -> bool:
     return True
 
 
-NUMPY_ROUNDS_FUSED = _numpy_rounds_fused()
-# For tests that compare with live numpy: elsewhere their exact counterparts run.
-needs_fused_numpy = pytest.mark.skipif(
-    not NUMPY_ROUNDS_FUSED,
-    reason="numpy does not round complex products, np.vdot or 2x2 matmul with "
-    "fused multiply-adds here, so the printed bits are not numpy's",
-)
+def __getattr__(name: str):
+    """``needs_fused_numpy``, a skip mark for tests that compare with live
+    numpy (elsewhere their exact counterparts run), is built on its first
+    import, since deciding it runs numpy."""
+    if name != "needs_fused_numpy":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return pytest.mark.skipif(
+        not _numpy_rounds_fused(),
+        reason="numpy does not round complex products, np.vdot or 2x2 matmul with "
+        "fused multiply-adds here, so the printed bits are not numpy's",
+    )

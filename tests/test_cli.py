@@ -159,8 +159,8 @@ class TestBadFiles:
 
     @pytest.mark.parametrize("argv", [
         ["render", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5", "--out"],
-        ["sample", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
-         "--n", "3", "--seed", "1", "--flips"],
+        pytest.param(["sample", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
+                      "--n", "3", "--seed", "1", "--flips"], marks=pytest.mark.needs_numpy),
     ], ids=["render-out", "sample-flips"])
     def test_unwritable_output(self, capsys, tmp_path, argv):
         path = tmp_path / "missing-dir" / "output"
@@ -171,8 +171,9 @@ class TestBadFiles:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [
-        ["sample", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
-         "--n", "3", "--seed", "1", "--flips", "/dev/full"],
+        pytest.param(["sample", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5",
+                      "--n", "3", "--seed", "1", "--flips", "/dev/full"],
+                     marks=pytest.mark.needs_numpy),
         ["render", "--p1", "1", "--p2", "0.5", "--p3", "0.5", "--out", "/dev/full"],
     ], ids=["sample-flips", "render-out"])
     def test_failed_write(self, capsys, argv):
@@ -430,6 +431,7 @@ class TestSample:
         )
         assert code == 1 and out == "" and "seed" in err
 
+    @pytest.mark.needs_numpy
     def test_flips_csv(self, capsys, tmp_path):
         path = tmp_path / "flips.csv"
         run_json(
@@ -587,7 +589,9 @@ TRANSCRIPT = json.loads((DATA_DIR / "cli_transcript.json").read_text(encoding="u
 
 
 @pytest.mark.parametrize(
-    "entry", TRANSCRIPT,
+    "entry",
+    [pytest.param(e, marks=pytest.mark.needs_numpy if "--flips" in e["argv"] else ())
+     for e in TRANSCRIPT],
     ids=[f"{i:02d}-{(e['argv'] or ['no-args'])[0]}" for i, e in enumerate(TRANSCRIPT)],
 )
 def test_golden_transcript(capsys, monkeypatch, tmp_path, entry):
@@ -745,6 +749,7 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in JSON output")
 
 
+@pytest.mark.needs_numpy  # sample --flips, and sample beyond 4096 flips
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -885,6 +890,7 @@ print(code, "numpy" in sys.modules)
 """
 
 
+@pytest.mark.needs_numpy
 def test_numpy_loads_only_where_arrays_are_built(tmp_path):
     """Only sample loads numpy, and only for --flips or more than
     _PLAIN_MAX flips per axis: superpose (the oracle on every path, the
@@ -957,6 +963,7 @@ print(json.dumps(seen))
 """
 
 
+@pytest.mark.needs_numpy
 def test_serial_requests_start_no_thread():
     """Below two chunks per axis run_experiment stays in the calling thread;
     from two chunks on it joins its workers.  Neither path imports

@@ -68,11 +68,13 @@ class TestSides:
         )
         assert worst == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
+    @pytest.mark.needs_numpy  # the rng fixture
     def test_sides_bounded(self, rng):
         for _ in range(1000):
             for side in triada_sides(random_valid(rng)).sides():
                 assert 0.0 <= side <= math.sqrt(3.0)
 
+    @pytest.mark.needs_numpy
     def test_cyclic_permutation_covariance(self, rng):
         for _ in range(500):
             p = random_valid(rng)

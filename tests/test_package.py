@@ -202,6 +202,7 @@ def test_the_cli_is_a_thin_shell():
             assert not [s for s in strings if "trial,axis,outcome" in s], path.name
 
 
+@pytest.mark.needs_numpy
 def test_the_readme_library_tour_runs(tmp_path, monkeypatch):
     """README's one python block runs as written; it writes flips.csv."""
     readme = (SRC_DIR.parent / "README.md").read_text(encoding="utf-8")

@@ -29,8 +29,10 @@ from coinqubit import (
 from coinqubit import tomography
 from coinqubit.cli import main
 from coinqubit.tomography import (
-    AXES, _CHUNK, _PLAIN_MAX, _axis_rng, _plain_doubles, _up_chunks,
+    AXES, _CHUNK, _PLAIN_MAX, _axis_rng, _plain_raw, _top, _up_chunks,
 )
+
+pytestmark = pytest.mark.needs_numpy  # numpy is imported above
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -120,15 +122,68 @@ class TestChunkedDraw:
         capsys.readouterr()
         assert peak <= 5 * 2**20
 
-    def test_run_experiment_memory_is_bounded(self):
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_run_experiment_memory_is_bounded(self, monkeypatch, cpus):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         run_experiment(PURE_TARGET, 10, 0)  # import numpy before tracing
         tracemalloc.start()
         try:
-            run_experiment(PURE_TARGET, 10**6, 3)
+            run_experiment(PURE_TARGET, 10**6 + 3, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        parts = cpus  # 10**6 + 3 flips make 15 chunks
+        # per slice: one chunk of uint64 outputs and its booleans, 9 bytes a
+        # draw; the slack is the booleans the counting loop still holds from
+        # the step before, and 16 KiB for the threads' and generators' objects
+        slack = parts * _CHUNK + 2**14
+        assert peak <= parts * 9 * _CHUNK + slack
+
+
+def _neighbours(prob: float) -> list[float]:
+    """prob and the doubles on either side of it, within [0, 1]."""
+    return [min(max(math.nextafter(prob, to), 0.0), 1.0) for to in (-1.0, prob, 2.0)]
+
+
+EDGE_PROBS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53]),
+    st.builds(lambda k, side: _neighbours(k * 2**-53)[side],
+              st.integers(0, 2**53), st.integers(0, 2)),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestUpBound:
+    """A flip is up where its raw 64-bit output x is at most _top(prob):
+    exactly where Generator.random's double (x >> 11) * 2**-53 lies below
+    prob."""
+
+    @given(prob=EDGE_PROBS, x=st.integers(0, 2**64 - 1), step=st.integers(-2, 2))
+    @settings(max_examples=1000, deadline=None)
+    def test_bound_decides_as_the_double_does(self, prob, x, step):
+        top = _top(prob)
+        assert -1 <= top < 2**64
+        for y in (x, min(max(top + step, 0), 2**64 - 1)):  # and beside the bound
+            assert (y <= top) == ((y >> 11) * 2**-53 < prob)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, _CHUNK + 1), (5, 2 * _CHUNK + 9), (_CHUNK - 1, 3 * _CHUNK)])
+    def test_chunks_equal_generator_random(self, lo, hi):
+        for i in range(3):
+            doubles = _axis_rng(8, i).random(hi)
+            raw = _axis_rng(8, i).bit_generator.random_raw(hi)
+            at_top = lo + int(np.flatnonzero(raw[lo:] % 2048 == 2047)[0])
+            # coins at 0, 1 and the ends of [0, 1); coins that tie with draws
+            # of this axis in the first and the last chunk, with their
+            # neighbours; and a coin whose bound is one of its draws
+            probs = [0.0, 1.0, 5e-324, 1 - 2**-53,
+                     *_neighbours(doubles[lo].item()), *_neighbours(doubles[-1].item()),
+                     doubles[at_top].item() + 2**-53]
+            for prob in probs:
+                chunks = _up_chunks(ProbabilityTriple(prob, prob, prob), 8, lo, hi)
+                up = np.concatenate([up for j, _, up in chunks if j == i])
+                np.testing.assert_array_equal(up, doubles[lo:] < prob)
 
 
 class TestWriteFlips:
@@ -188,13 +243,20 @@ class TestParallelCount:
 
     @pytest.fixture
     def slices(self, monkeypatch):
-        """Pretend to have `cpus` CPUs; record (lo, hi, chunk) per slice."""
+        """Pretend to have `cpus` CPUs; record (lo, hi, draws per step) per
+        slice."""
         calls = []
         real = tomography._up_chunks
 
-        def recording(p, seed, lo, hi, chunk=_CHUNK):
-            calls.append((lo, hi, chunk))
-            return real(p, seed, lo, hi, chunk)
+        def recording(p, seed, lo, hi):
+            steps = []
+            calls.append((lo, hi, steps))  # on the call, in slice order
+
+            def drawing():
+                for item in real(p, seed, lo, hi):
+                    steps.append(len(item[2]))
+                    yield item
+            return drawing()
 
         def pretend(cpus):
             monkeypatch.setattr(
@@ -218,10 +280,11 @@ class TestParallelCount:
                for i, prob in enumerate(probs)]
         assert report.p_hat == ProbabilityTriple(*(up / n for up in ups))
         assert report.counts == (n, n, n)
-        parts = min(cpus, n // _CHUNK)
+        assert len(calls) == min(cpus, n // _CHUNK)
         assert [lo for lo, _, _ in calls] == [0] + [hi for _, hi, _ in calls[:-1]]
-        assert calls[-1][1] == n and len(calls) == parts
-        assert all(chunk * parts <= _CHUNK for _, _, chunk in calls)  # in flight
+        assert calls[-1][1] == n
+        for lo, hi, steps in calls:  # each axis of the slice, a chunk at a time
+            assert max(steps) <= _CHUNK and sum(steps) == 3 * (hi - lo)
         assert threading.active_count() == threads  # the workers were joined
 
     def test_without_affinity_the_cpu_count_decides(self, monkeypatch, slices):
@@ -235,9 +298,8 @@ class TestParallelCount:
         slices(2)
         recording = tomography._up_chunks
 
-        def failing(p, seed, lo, hi, chunk=_CHUNK):
-            chunks = recording(p, seed, lo, hi, chunk)
-            for item in chunks:
+        def failing(p, seed, lo, hi):
+            for item in recording(p, seed, lo, hi):
                 if lo > 0:
                     raise RuntimeError("slice failed")
                 yield item
@@ -261,14 +323,15 @@ class TestPlainStream:
         n=st.integers(1, 300),
     )
     @settings(max_examples=200, deadline=None)
-    def test_doubles_equal_numpys(self, seed, axis, n):
-        assert _plain_doubles(seed, axis, n) == _axis_rng(seed, axis).random(n).tolist()
+    def test_raw_equals_numpys(self, seed, axis, n):
+        raw = _axis_rng(seed, axis).bit_generator.random_raw(n).tolist()
+        assert _plain_raw(seed, axis, n) == raw
 
     def test_once_numpy_is_loaded_it_draws(self, monkeypatch):
         def plain(*args):
             raise AssertionError("the plain draw ran with numpy loaded")
 
-        monkeypatch.setattr(tomography, "_plain_doubles", plain)
+        monkeypatch.setattr(tomography, "_plain_raw", plain)
         assert "numpy" in sys.modules
         assert run_experiment(PURE_TARGET, 10, 1).counts == (10, 10, 10)
 
