@@ -8,17 +8,19 @@ projected away.
 
 Randomness comes from numpy's PCG64 seeded through a SeedSequence built
 from (seed, axis index), so the three per-axis streams are independent and
-every run is reproducible from the single integer seed.  Each stream is
-drawn in fixed chunks, which give the same bits as one draw, so memory does
-not grow with the number of flips.  ``run_experiment`` counts up to one
-slice of each stream per CPU in parallel, entered with ``PCG64.advance``
-(one 64-bit output per double): its bits do not depend on the CPU count,
-and the draws in flight total one chunk; before numpy is loaded, it draws
-up to ``_PLAIN_MAX`` flips per axis from a plain-Python copy of the same
-streams, bit for bit.  ``sample_flips``, ``sample_outcomes`` and
-``write_flips`` stay serial and on numpy; ``sample_flips`` builds each
-chunk's records in C, ``map`` calling ``tuple.__new__`` on zipped rows,
-with no Python frame per flip.
+every run is reproducible from the single integer seed.  A flip is one raw
+64-bit output x, up where x <= ``_top(prob)``: exactly where
+``Generator.random``'s double (x >> 11) * 2**-53 lies below the coin, with
+no double built.  Each stream is drawn in fixed chunks, which give the same
+bits as one draw, so memory does not grow with the number of flips.
+``run_experiment`` counts up to one slice of each stream per CPU in
+parallel, entered with ``PCG64.advance`` (one output per flip): its bits do
+not depend on the CPU count, and each slice draws a whole chunk per step;
+before numpy is loaded, it draws up to ``_PLAIN_MAX`` flips per axis from a
+plain-Python copy of the same streams, bit for bit.  ``sample_flips``,
+``sample_outcomes`` and ``write_flips`` stay serial and on numpy;
+``sample_flips`` builds each chunk's records in C, ``map`` calling
+``tuple.__new__`` on zipped rows, with no Python frame per flip.
 """
 
 from __future__ import annotations
