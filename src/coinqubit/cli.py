@@ -9,12 +9,11 @@ error object on stderr).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .errors import CoinQubitError, DomainError
 from .states import (
@@ -33,6 +32,11 @@ SEED_ENV_VAR = "COIN_QUBIT_SEED"
 _NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 _JSON_MAX = 1 << 20  # characters read at most from a --state*, --weights or --obs file
 
+try:  # the C function json.dumps(str) calls, without importing json
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import py_encode_basestring_ascii as _quote
+
 
 def _dumps(obj) -> str:
     """JSON text with floats at 17 significant digits."""
@@ -43,10 +47,10 @@ def _dumps(obj) -> str:
     if isinstance(obj, float):
         return format(obj, ".17g")
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, dict):
         items = ", ".join(
-            f"{json.dumps(str(key))}: {_dumps(value)}" for key, value in obj.items()
+            f"{_quote(str(key))}: {_dumps(value)}" for key, value in obj.items()
         )
         return "{" + items + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -60,22 +64,10 @@ class _Help(Exception):
     """A request for help; its one argument is the text to print."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse's negative-number pattern has no exponent, so it read the
-        # "-1e3" of "--z2 -1e3" as an option; any negative float is a value.
-        self._negative_number_matcher = _NEGATIVE_FLOAT
-
-    def error(self, message):  # noqa: A003 - argparse API
-        raise _UsageError(message)
-
-    def print_help(self, file=None):  # main writes the text to stdout
-        raise _Help(self.format_help())
-
-
 def _load_json(path: str):
     """Parsed JSON file; an unreadable, malformed or too long file is a DomainError."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read(_JSON_MAX + 1)
@@ -288,20 +280,89 @@ _COMMANDS = {
 }
 
 
-def _parser(name: str | None) -> _Parser:
-    """The parser with the subparser of table entry `name` only, or with
-    every subparser (for the usage message) when `name` is None."""
+def _flags(name: str) -> dict:
+    """Flag (without its "--") -> add_argument keywords, for the flags of
+    table entry `name` in the order the help text lists them."""
+    _, slots, extra, _ = _COMMANDS[name]
+    flags = {}
+    for prefix, path_flag in slots:
+        flags.update((f"{prefix}{i}", {"type": float}) for i in (1, 2, 3))
+        flags[path_flag] = {}
+    flags.update((flag[2:], options) for flag, options in extra)
+    return flags
+
+
+def _read(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives for a well-formed argv, read from the
+    table alone; None for any other argv, which argparse then reads.
+
+    Accepted: a subcommand, then only "--flag=text" and "--flag text" for
+    its exact flags (and a bare --labels), each text converted by the flag's
+    type and within its choices, with every required flag present.  A
+    separate text may start with "-" only as a negative number.  Help,
+    "--", abbreviations, unknown flags, empty or bad values and a missing
+    required flag are left to argparse, so their output is argparse's.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _flags(argv[0])
+    values = {flag: options.get("default", False if "action" in options else None)
+              for flag, options in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, text = token[2:].partition("=")
+        options = flags.get(flag) if token.startswith("--") else None
+        if options is None:
+            return None
+        if "action" in options:  # store_true: bare only
+            if equals:
+                return None
+            values[flag] = True
+            continue
+        if not equals:
+            text = next(tokens, "")
+            if text.startswith("-") and not _NEGATIVE_FLOAT.match(text):
+                return None
+        if not text:
+            return None
+        try:
+            value = options.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        values[flag] = value
+    if any(options.get("required") and values[flag] is None
+           for flag, options in flags.items()):
+        return None
+    return SimpleNamespace(subcommand=argv[0], **values)
+
+
+def _parser(name: str | None):
+    """The argparse parser with the subparser of table entry `name` only, or
+    with every subparser (for the usage message) when `name` is None."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # argparse's negative-number pattern has no exponent, so it read
+            # the "-1e3" of "--z2 -1e3" as an option; any negative float is
+            # a value.
+            self._negative_number_matcher = _NEGATIVE_FLOAT
+
+        def error(self, message):  # noqa: A003 - argparse API
+            raise _UsageError(message)
+
+        def print_help(self, file=None):  # main writes the text to stdout
+            raise _Help(self.format_help())
+
     parser = _Parser(prog="coinqubit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for command in _COMMANDS if name is None else (name,):
-        help_text, slots, extra, _ = _COMMANDS[command]
-        subparser = sub.add_parser(command, help=help_text)
-        for prefix, path_flag in slots:
-            for i in (1, 2, 3):
-                subparser.add_argument(f"--{prefix}{i}", type=float)
-            subparser.add_argument(f"--{path_flag}")
-        for flag, options in extra:
-            subparser.add_argument(flag, **options)
+        subparser = sub.add_parser(command, help=_COMMANDS[command][0])
+        for flag, options in _flags(command).items():
+            subparser.add_argument(f"--{flag}", **options)
     return parser
 
 
@@ -310,8 +371,10 @@ def main(argv=None) -> int:
     code, report = 0, ""
     try:
         try:
-            name = argv[0] if argv and argv[0] in _COMMANDS else None
-            args = _parser(name).parse_args(argv)
+            args = _read(argv)
+            if args is None:
+                name = argv[0] if argv and argv[0] in _COMMANDS else None
+                args = _parser(name).parse_args(argv)
             _, slots, _, handler = _COMMANDS[args.subcommand]
             result = handler(args, *(_state_from(args, *slot) for slot in slots))
         except _Help as request:

@@ -303,6 +303,7 @@ def run_experiment(
         try:
             for i, _, up in slices[k]:
                 ups[i] += int(np.count_nonzero(up))
+                del up  # free this chunk's booleans before the next draw
         except Exception as exc:  # raised below, after every join
             counts[k] = exc
 

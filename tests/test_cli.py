@@ -8,9 +8,10 @@ import pathlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from json.encoder import py_encode_basestring_ascii
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coinqubit import (
@@ -25,7 +26,16 @@ from coinqubit import (
     superpose_general,
     triada_sides,
 )
-from coinqubit.cli import main
+from coinqubit.cli import (
+    _COMMANDS,
+    _flags,
+    _Help,
+    _parser,
+    _quote,
+    _read,
+    _UsageError,
+    main,
+)
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -770,6 +780,133 @@ def test_every_argv_ends_in_a_clean_exit(fuzz_dir, data):
         assert err.getvalue() == ""
     elif code == 0 and argv[0] != "render":  # render writes SVG, not JSON
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# ------------------------------------------- the argv reader against argparse
+
+def _argparse_vars(argv):
+    """vars() of the namespace argparse reads from argv, or None where it
+    reports help or a usage error."""
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    try:
+        return vars(_parser(name).parse_args(argv))
+    except (_Help, _UsageError):
+        return None
+
+
+def _shown(values: dict) -> list:
+    # repr tells nan, -0.0, 1 and 1.0 apart, which == does not
+    return sorted((name, repr(value)) for name, value in values.items())
+
+
+def assert_read_as_argparse_reads(argv):
+    read = _read(argv)
+    if read is not None:
+        expected = _argparse_vars(argv)
+        assert expected is not None, argv
+        assert _shown(vars(read)) == _shown(expected), argv
+
+
+# tokens the reader leaves to argparse, or values given twice
+ODD_TOKENS = ["--sca", "--", "-", "--labels=1", "--labels=", "", "--state=",
+              "--state", "--p1=", "--p", "-h", "--help", "-1", "-inf", "--n", "x"]
+
+
+@st.composite
+def reader_argvs(draw, workdir):
+    """An argv of cli_runs with up to two tokens inserted: an odd token or
+    a copy of one of its own, which repeats a flag or a value."""
+    argv, _ = draw(cli_runs(workdir))
+    for _ in range(draw(st.integers(0, 2))):
+        token = draw(st.sampled_from(ODD_TOKENS + argv[1:] if draw(st.booleans())
+                                     else ODD_TOKENS))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_reader_gives_none_or_argparses_namespace(fuzz_dir, data):
+    assert_read_as_argparse_reads(data.draw(reader_argvs(fuzz_dir), label="argv"))
+
+
+class TestReader:
+    """main reads argv from the command table and builds the argparse
+    parser only for the argvs the reader declines."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["check", "--p1=0.5", "--p2", "0.5", "--p3", "-0.0"],
+        ["check", "--p1", "1e-13", "--p1=0.25", "--p2=.5", "--p3", "0.5"],
+        ["fidelity", "--state1=a.json", "--q1", "-1e3", "--q2=-inf", "--q3", "nan"],
+        ["superpose", "--state1", "a b", "--state2=b=c", "--weights", "=",
+         "--w1=0.5"],
+        ["convert", "--p1=0.5", "--to", "spinor", "--to=complex"],
+        ["partner", "--sign=-", "--state", "s.json"],
+        ["render", "--labels", "--scale", "-1e2", "--labels", "--out=x.svg"],
+        ["sample", "--n", "-5", "--seed=-1", "--flips", "f.csv", "--n=1_000"],
+        ["mean", "--x=-2.5E-3", "--y", "-.5e1", "--z1", "-1.e+2", "--obs=--help"],
+    ])
+    def test_reads_what_argparse_reads(self, argv):
+        assert _read(argv) is not None
+        assert_read_as_argparse_reads(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["--help"], ["check", "-h"], ["check", "--help"],
+        ["check", "--p", "0.5"], ["check", "--p1", "0.5", "--"],
+        ["check", "--", "--p1", "0.5"], ["check", "--bogus=1"], ["check", "-p1", "1"],
+        ["check", "x"], ["check", "--p1"], ["check", "--p1", ""], ["check", "--state="],
+        ["check", "--p1", "-inf"], ["check", "--p1", "-"], ["check", "--p1=abc"],
+        ["check", "--state", "--p1=0.5"], ["convert", "--to=matrix"],
+        ["partner", "--sign", "-"], ["render", "--labels=1"], ["render", "--labels="],
+        ["sample", "--seed", "1"], ["sample", "--n=1.5"], ["sample", "--n", "9" * 5000],
+    ])
+    def test_declines_the_rest(self, argv):
+        assert _read(argv) is None
+
+    def test_each_flag_of_the_table(self):
+        # every flag, read as "--flag text" and as "--flag=text"
+        for name in _COMMANDS:
+            for flag, options in _flags(name).items():
+                text = options.get("choices", ("7",))[0]
+                forms = ([[f"--{flag}"]] if "action" in options
+                         else [[f"--{flag}", text], [f"--{flag}={text}"]])
+                for form in forms:
+                    argv = [name, *form, *(["--n=1"] if name == "sample" else [])]
+                    assert _read(argv) is not None, argv
+                    assert_read_as_argparse_reads(argv)
+
+
+@given(st.text(st.characters(exclude_categories=())))  # lone surrogates too
+@example('"\\/\x00\x1f\x7f\u2028\ud800\U0001f600\xe9')
+def test_quote_is_json_dumps(text):
+    assert _quote(text) == json.dumps(text)
+    # the fallback where json's C accelerator is missing
+    assert py_encode_basestring_ascii(text) == json.dumps(text)
+
+
+def test_a_scalar_run_loads_neither_argparse_nor_json():
+    """A check process imports none of argparse, json, gettext or locale
+    beyond what the bare interpreter imports; help still comes from argparse."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+
+    def imported(*args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
+        )
+        names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                 if line.startswith("import time:") and "|" in line}
+        return {name.split(".")[0] for name in names}, proc.stdout
+
+    heavy = {"argparse", "json", "gettext", "locale"}
+    bare, _ = imported("-c", "pass")
+    check, out = imported("-m", "coinqubit.cli", "check", "--p1=1", "--p2=0.5",
+                          "--p3=0.5")
+    assert out == '{"class": "pure", "radius2": 0.25}\n'
+    assert (check - bare) & heavy == set()
+    helped, out = imported("-m", "coinqubit.cli", "check", "-h")
+    assert "argparse" in helped and out.startswith("usage: coinqubit check ")
 
 
 class TestFailingStreams:

@@ -135,9 +135,8 @@ class TestChunkedDraw:
             tracemalloc.stop()
         parts = cpus  # 10**6 + 3 flips make 15 chunks
         # per slice: one chunk of uint64 outputs and its booleans, 9 bytes a
-        # draw, and a slack of the booleans the counting loop still holds
-        # from the step before and 16 KiB for its thread's and draw's objects
-        slack = parts * (_CHUNK + 2**14)
+        # draw, and a slack of 16 KiB for its thread's and draw's objects
+        slack = parts * 2**14
         assert peak <= parts * 9 * _CHUNK + slack
 
 
