@@ -807,7 +807,7 @@ def assert_read_as_argparse_reads(argv):
         assert _shown(vars(read)) == _shown(expected), argv
 
 
-# tokens the reader leaves to argparse, or values given twice
+# help, "--", abbreviations, bare flags, empty or stray values
 ODD_TOKENS = ["--sca", "--", "-", "--labels=1", "--labels=", "", "--state=",
               "--state", "--p1=", "--p", "-h", "--help", "-1", "-inf", "--n", "x"]
 
