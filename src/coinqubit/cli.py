@@ -338,9 +338,8 @@ def _read(argv) -> SimpleNamespace | None:
     return SimpleNamespace(subcommand=argv[0], **values)
 
 
-def _parser(name: str | None):
-    """The argparse parser with the subparser of table entry `name` only, or
-    with every subparser (for the usage message) when `name` is None."""
+def _parser():
+    """The argparse parser, one subparser per table entry."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -359,7 +358,7 @@ def _parser(name: str | None):
 
     parser = _Parser(prog="coinqubit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for command in _COMMANDS if name is None else (name,):
+    for command in _COMMANDS:
         subparser = sub.add_parser(command, help=_COMMANDS[command][0])
         for flag, options in _flags(command).items():
             subparser.add_argument(f"--{flag}", **options)
@@ -373,8 +372,7 @@ def main(argv=None) -> int:
         try:
             args = _read(argv)
             if args is None:
-                name = argv[0] if argv and argv[0] in _COMMANDS else None
-                args = _parser(name).parse_args(argv)
+                args = _parser().parse_args(argv)
             _, slots, _, handler = _COMMANDS[args.subcommand]
             result = handler(args, *(_state_from(args, *slot) for slot in slots))
         except _Help as request:

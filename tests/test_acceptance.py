@@ -7,8 +7,9 @@ below, next to the criterion they belong to.
 
 import math
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from coinqubit import (
     CoinObservable,

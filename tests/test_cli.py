@@ -787,9 +787,8 @@ def test_every_argv_ends_in_a_clean_exit(fuzz_dir, data):
 def _argparse_vars(argv):
     """vars() of the namespace argparse reads from argv, or None where it
     reports help or a usage error."""
-    name = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        return vars(_parser(name).parse_args(argv))
+        return vars(_parser().parse_args(argv))
     except (_Help, _UsageError):
         return None
 
@@ -885,30 +884,6 @@ def test_quote_is_json_dumps(text):
     assert py_encode_basestring_ascii(text) == json.dumps(text)
 
 
-def test_a_scalar_run_loads_neither_argparse_nor_json():
-    """A check process imports none of argparse, json, gettext or locale
-    beyond what the bare interpreter imports; help still comes from argparse."""
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-
-    def imported(*args):
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", *args],
-            env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
-        )
-        names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                 if line.startswith("import time:") and "|" in line}
-        return {name.split(".")[0] for name in names}, proc.stdout
-
-    heavy = {"argparse", "json", "gettext", "locale"}
-    bare, _ = imported("-c", "pass")
-    check, out = imported("-m", "coinqubit.cli", "check", "--p1=1", "--p2=0.5",
-                          "--p3=0.5")
-    assert out == '{"class": "pure", "radius2": 0.25}\n'
-    assert (check - bare) & heavy == set()
-    helped, out = imported("-m", "coinqubit.cli", "check", "-h")
-    assert "argparse" in helped and out.startswith("usage: coinqubit check ")
-
-
 class TestFailingStreams:
     """A standard stream that is closed or fails ends in exit 2 (or in the
     exit code the run would have had, when only stderr fails), never in a
@@ -968,90 +943,10 @@ class TestFailingStreamsConsoleScript(TestFailingStreams):
     ENTRY = ["-c", "import sys; from coinqubit.cli import main; sys.exit(main())"]
 
 
-NUMPY_PROBE = """
-import contextlib, io, json, sys
-import coinqubit, coinqubit.cli
-from coinqubit import CoinObservable, ProbabilityTriple, SuperpositionWeights
-from coinqubit.cli import main
-
-state = ["--p1", "1", "--p2", "0.5", "--p3", "0.5"]
-scalar_argvs = [
-    ["check", *state],
-    ["purity", *state],
-    ["fidelity", *state, "--q1", "0", "--q2", "0.5", "--q3", "0.5"],
-    ["convert", *state, "--to", "density"],
-    ["convert", *state, "--to", "spinor"],
-    ["convert", *state, "--to", "complex"],
-    ["partner", *state],
-    ["triada", *state],
-    ["render", *state, "--labels"],
-]
-weights = ["--w1", "0.5", "--w2", "1", "--w3", "0.5"]
-oracle_argvs = [  # an orthogonal pair, a general pair, a hand-over pair
-    ["superpose", *state, "--q1", "0", "--q2", "0.5", "--q3", "0.5", *weights],
-    ["superpose", *state, "--q1", "0.5", "--q2", "1", "--q3", "0.5", *weights],
-    ["superpose", "--p1", "0.5009999995", "--p2", "0.5", "--p3", "1e-6",
-     "--q1", "0.5", "--q2", "1", "--q3", "0.5", *weights],
-    ["mean", *state, "--x", "1", "--y", "2", "--z1", "3", "--z2=-1e3"],
-]
-loaded = {"import": "numpy" in sys.modules}
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    for argv in scalar_argvs:
-        assert main(argv) == 0, argv
-    loaded["scalar"] = "numpy" in sys.modules
-    plus, minus = ProbabilityTriple(1, 0.5, 0.5), ProbabilityTriple(0, 0.5, 0.5)
-    w = SuperpositionWeights(ProbabilityTriple(0.5, 1, 0.5))
-    for path in ("superpose_general", "superpose_orthogonal", "superpose_spinor"):
-        getattr(coinqubit, path)(plus, minus, w)  # orthogonal, off the poles
-    loaded["kernels"] = "numpy" in sys.modules
-    for argv in oracle_argvs:
-        assert main(argv) == 0, argv
-    coinqubit.superpose_oracle(plus, ProbabilityTriple(0.5, 1, 0.5), w)
-    coinqubit.quantum_mean(CoinObservable(1, 2, 3, -1), ProbabilityTriple(0.6, 0.7, 0.8))
-    loaded["oracle_and_mean"] = "numpy" in sys.modules
-    loaded["handover"] = out.getvalue().count('"fallback_used": true')
-    for n in ("10", "4096", "4097"):  # the plain draw, at most _PLAIN_MAX flips
-        assert main(["sample", *state, "--n", n, "--seed", "1"]) == 0
-        loaded[f"sample {n}"] = "numpy" in sys.modules
-print(json.dumps(loaded))
-"""
-
-FLIPS_PROBE = """
-import contextlib, io, sys
-from coinqubit.cli import main
-
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["sample", "--p1", "0.6", "--p2", "0.5", "--p3", "0.7", "--n", "10",
-                 "--seed", "1", "--flips", sys.argv[1]])
-print(code, "numpy" in sys.modules)
-"""
-
-
-@pytest.mark.needs_numpy
-def test_numpy_loads_only_where_arrays_are_built(tmp_path):
-    """Only sample loads numpy, and only for --flips or more than
-    _PLAIN_MAX flips per axis: superpose (the oracle on every path, the
-    hand-over included), mean and a small sample run on plain floats."""
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE],
-        env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
-    )
-    assert json.loads(proc.stdout) == {
-        "import": False, "scalar": False, "kernels": False,
-        "oracle_and_mean": False, "handover": 1,
-        "sample 10": False, "sample 4096": False, "sample 4097": True,
-    }
-    proc = subprocess.run(
-        [sys.executable, "-c", FLIPS_PROBE, str(tmp_path / "flips.csv")],
-        env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
-    )
-    assert proc.stdout == "0 True\n"
-
-
 def test_mean_near_the_float_maximum_prints_no_numpy_warning():
-    """rho @ H overflows in entries the trace does not use; the mean is
-    finite, so the run exits 0 with nothing on stderr."""
+    """Coefficients near the float maximum whose mean is finite: the run
+    exits 0 with the mean on stdout and nothing on stderr, no warning
+    included."""
     argv = ["mean", "--p1", "0.8030897743664331", "--p2", "0.5562247427610042",
             "--p3", "0.2046799535196856", "--x=-1.6044439731884404e+308",
             "--y", "1.2810589408249126e+308", "--z1=-1.739041242778847e+308",
@@ -1067,48 +962,3 @@ def test_mean_near_the_float_maximum_prints_no_numpy_warning():
         '{"x": -9.725811236345358e+307, "y": 1.4405441881913041e+307, '
         '"z": 4.8476788035755633e+307}}\n'
     )
-
-
-THREAD_PROBE = """
-import contextlib, io, json, os, sys, threading
-from coinqubit import ProbabilityTriple, run_experiment
-from coinqubit.cli import main
-
-state = ["--p1", "1", "--p2", "0.5", "--p3", "0.5"]
-other = ["--q1", "0.5", "--q2", "1", "--q3", "0.5"]
-argvs = [
-    ["check", *state],
-    ["purity", *state],
-    ["fidelity", *state, *other],
-    ["convert", *state, "--to", "spinor"],
-    ["superpose", *state, *other, "--w1", "0.5", "--w2", "1", "--w3", "0.5"],
-    ["partner", *state],
-    ["triada", *state],
-    ["render", *state],
-    ["mean", *state, "--x", "1", "--y", "2", "--z1", "3", "--z2", "-1"],
-    ["sample", *state, "--n", "1000", "--seed", "7"],
-]
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in argvs:
-        assert main(argv) == 0, argv
-loaded = lambda: ["concurrent.futures" in sys.modules, "logging" in sys.modules]
-seen = {"serial": [*loaded(), threading.active_count()]}
-os.sched_getaffinity = lambda pid: {0, 1}
-run_experiment(ProbabilityTriple(0.6, 0.5, 0.7), 2 * 65536, 7)
-seen["parallel"] = [*loaded(), threading.active_count()]
-print(json.dumps(seen))
-"""
-
-
-@pytest.mark.needs_numpy
-def test_serial_requests_start_no_thread():
-    """Below two chunks per axis run_experiment stays in the calling thread;
-    from two chunks on it joins its workers.  Neither path imports
-    concurrent.futures or the logging it pulls in."""
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    proc = subprocess.run(
-        [sys.executable, "-c", THREAD_PROBE],
-        env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
-    )
-    expected = [False, False, 1]
-    assert json.loads(proc.stdout) == {"serial": expected, "parallel": expected}

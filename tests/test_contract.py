@@ -34,6 +34,7 @@ import json
 import operator
 import os
 import pathlib
+import sys
 import tempfile
 import types
 
@@ -146,7 +147,11 @@ def _pinned(digests: dict) -> dict:
 
 def test_cli_pool_matches_its_digests(monkeypatch, tmp_path):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    # sample takes the plain draw only while numpy is not loaded, as in a
+    # fresh CLI process; other tests may have loaded it in this one
+    monkeypatch.delitem(sys.modules, "numpy", raising=False)
     digests = _cli_digests(tmp_path)
+    assert "numpy" not in sys.modules
     assert digests == _pinned(digests)
 
 

@@ -4,10 +4,11 @@ import statistics
 import sys
 import time
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+np = pytest.importorskip("numpy")
 
 from coinqubit import (
     ClassicalStateError,

@@ -117,47 +117,117 @@ def test_equality_is_type_strict():
     assert ProbabilityTriple(0.5, 0.5, 0.5) != ProbabilityTriple(0.5, 0.5, 0.25)
 
 
-IMPORT_PROBE = """
-import contextlib, io, json, sys
+# Runs each argument as a step, an expression or a statement, and prints
+# one line per step: the repr of (its value, the watched modules it newly
+# imported, the live thread count).
+PROBE = """
+import contextlib, io, sys, threading
 
-def loaded():
-    return sorted(m for m in sys.modules
-                  if m.startswith("coinqubit.") or m == "dataclasses")
+WATCHED = {"numpy", "argparse", "json", "gettext", "locale", "dataclasses",
+           "concurrent.futures", "logging"}
 
-import coinqubit
-report = {"import": loaded(),
-          "dir_has_all": set(coinqubit.__all__) <= set(dir(coinqubit))}
-try:
-    coinqubit.nope
-except AttributeError as exc:
-    report["nope"] = str(exc)
-from coinqubit.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["check", "--p1", "1", "--p2", "0.5", "--p3", "0.5"]) == 0
-report["check"] = loaded()
-namespace = {}
-exec("from coinqubit import *", namespace)
-report["star_missing"] = [n for n in coinqubit.__all__ if n not in namespace]
-report["star_is_attr"] = all(namespace[n] is getattr(coinqubit, n)
-                             for n in coinqubit.__all__)
-print(json.dumps(report))
+def cli(line):  # main's exit code and stdout for the argv line.split()
+    from coinqubit.cli import main
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(line.split())
+    return code, out.getvalue()
+
+def raised(thunk):
+    try:
+        thunk()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+names = {"cli": cli, "raised": raised}
+seen = set(sys.modules)
+for step in sys.argv[1:]:
+    try:
+        code = compile(step, "<step>", "eval")
+    except SyntaxError:  # a statement, such as an import
+        code = compile(step, "<step>", "exec")
+    value = eval(code, names)
+    loaded = sorted(name for name in set(sys.modules) - seen
+                    if name in WATCHED or name.startswith("coinqubit."))
+    seen = set(sys.modules)
+    print(repr((value, loaded, threading.active_count())))
 """
 
+P = "--p1 1 --p2 0.5 --p3 0.5"  # |+>
+W = "--w1 0.5 --w2 1 --w3 0.5"
+FALLBACK = "'\"fallback_used\": true' in "
+# (step run in the child, its value, the watched modules it newly loads):
+# check, the other scalar subcommands, superpose (the hand-over pair
+# included), mean, the kernels and sample up to _PLAIN_MAX flips per axis
+# load no numpy; help is argparse's
+PLAIN_STEPS = [
+    ("import coinqubit", None, []),
+    ("set(coinqubit.__all__) <= set(dir(coinqubit))", True, []),
+    ("raised(lambda: coinqubit.nope)",
+     "AttributeError: module 'coinqubit' has no attribute 'nope'", []),
+    (f"cli('check {P}')", (0, '{"class": "pure", "radius2": 0.25}\n'),
+     ["coinqubit.cli", "coinqubit.errors", "coinqubit.states"]),
+    (f"cli('purity {P}')[0]", 0, []),
+    (f"cli('fidelity {P} --q1 0 --q2 0.5 --q3 0.5')[0]", 0, []),
+    *((f"cli('convert {P} --to {to}')[0]", 0, [])
+      for to in ("density", "spinor", "complex")),
+    (f"cli('partner {P}')[0]", 0, ["coinqubit.superposition"]),
+    (f"cli('triada {P}')[0]", 0, ["coinqubit.malevich"]),
+    (f"cli('render {P} --labels')[0]", 0, []),
+    ("T = coinqubit.ProbabilityTriple; plus, minus = T(1, 0.5, 0.5), T(0, 0.5, 0.5); "
+     "w = coinqubit.SuperpositionWeights(T(0.5, 1, 0.5))", None, []),
+    ("[f(plus, minus, w).path for f in (coinqubit.superpose_general, "
+     "coinqubit.superpose_orthogonal, coinqubit.superpose_spinor)]",
+     ["general_closed_form", "orthogonal_rule", "spinor_path"], []),
+    ("coinqubit.superpose_oracle(plus, T(0.5, 1, 0.5), w).path", "matrix_oracle", []),
+    (FALLBACK + f"cli('superpose {P} --q1 0 --q2 0.5 --q3 0.5 {W}')[1]", False, []),
+    (FALLBACK + f"cli('superpose {P} --q1 0.5 --q2 1 --q3 0.5 {W}')[1]", False, []),
+    (FALLBACK + "cli('superpose --p1 0.5009999995 --p2 0.5 --p3 1e-6 "
+     f"--q1 0.5 --q2 1 --q3 0.5 {W}')[1]", True, []),
+    (f"cli('mean {P} --x 1 --y 2 --z1 3 --z2=-1e3')[0]", 0, ["coinqubit.observables"]),
+    ("coinqubit.quantum_mean(coinqubit.CoinObservable(1, 2, 3, -1), T(0.6, 0.7, 0.8))",
+     3.2, []),
+    *((f"cli('sample {P} --n {n} --seed 1')[0]", 0, loaded)
+      for n, loaded in ((10, ["coinqubit.tomography"]), (4096, []))),
+    ("cli('check -h')[1].startswith('usage: coinqubit check ')", True,
+     ["argparse", "gettext", "locale"]),
+    ("from coinqubit import *", None, []),
+    ("[n for n in coinqubit.__all__ if globals().get(n) is not getattr(coinqubit, n)]",
+     [], []),
+]
+# sample beyond _PLAIN_MAX flips and sample --flips each load numpy, so
+# each runs in a fresh child; run_experiment then counts on two pretend
+# CPUs, joining its one worker thread, without concurrent.futures
+LOADS_NUMPY = ["coinqubit.cli", "coinqubit.errors", "coinqubit.states",
+               "coinqubit.tomography", "numpy"]
+ARRAY_STEPS = [
+    ("import coinqubit, os", None, []),
+    (f"cli('sample {P} --n 4097 --seed 1')[0]", 0, LOADS_NUMPY),
+    ("os.sched_getaffinity = lambda pid: {0, 1}", None, []),
+    ("coinqubit.run_experiment(coinqubit.ProbabilityTriple(0.6, 0.5, 0.7), "
+     "2 * 65536, 7).counts", (131072, 131072, 131072), []),
+]
+FLIPS_STEPS = [
+    (f"cli('sample {P} --n 10 --seed 1 --flips flips.csv')[0]", 0, LOADS_NUMPY),
+]
 
-def test_submodules_load_on_first_use():
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+
+@pytest.mark.parametrize("steps", [
+    pytest.param(PLAIN_STEPS, id="plain"),
+    pytest.param(ARRAY_STEPS, id="arrays", marks=pytest.mark.needs_numpy),
+    pytest.param(FLIPS_STEPS, id="flips", marks=pytest.mark.needs_numpy),
+])
+def test_each_step_loads_only_its_modules(tmp_path, steps):
+    """A fresh interpreter runs the steps in order; after each it reports
+    the step's value, the watched modules the step newly imported and the
+    live thread count."""
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
-        env=env, capture_output=True, encoding="utf-8", timeout=60, check=True,
+        [sys.executable, "-c", PROBE, *(step for step, _, _ in steps)],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), cwd=tmp_path,
+        capture_output=True, encoding="utf-8", timeout=60,
     )
-    assert json.loads(proc.stdout) == {
-        "import": [],
-        "dir_has_all": True,
-        "nope": "module 'coinqubit' has no attribute 'nope'",
-        "check": ["coinqubit.cli", "coinqubit.errors", "coinqubit.states"],
-        "star_missing": [],
-        "star_is_attr": True,
-    }
+    assert proc.returncode == 0, proc.stderr
+    rows = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    assert rows == [(value, loaded, 1) for _, value, loaded in steps]
 
 
 def _names_and_strings(tree: ast.Module) -> tuple[set, set]:

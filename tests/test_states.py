@@ -6,10 +6,11 @@ import pathlib
 import random
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+np = pytest.importorskip("numpy")
 
 from coinqubit import (
     ClassicalStateError,

@@ -1,10 +1,11 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+np = pytest.importorskip("numpy")
 
 from coinqubit import (
     DegeneratePhaseStateError,

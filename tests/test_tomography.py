@@ -9,10 +9,11 @@ import sys
 import threading
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+np = pytest.importorskip("numpy")
 
 from coinqubit import (
     ClassicalStateError,
