@@ -561,6 +561,18 @@ class TestDispatch:
             assert out.startswith(f"usage: {prog} ")
             assert "-h, --help" in out and out.endswith("\n")
 
+    def test_one_parser_holds_every_subcommand_and_flag(self, capsys):
+        # argparse sees whichever subcommand an argv names, and each help
+        # lists the flags the command table gives it
+        _, out, _ = run_cli(capsys, "--help")
+        assert "{" + ",".join(_COMMANDS) + "}" in out
+        for name in _COMMANDS:
+            code, out, err = run_cli(capsys, name, "-h")
+            assert (code, err) == (0, ""), name
+            assert out.startswith(f"usage: coinqubit {name} ")
+            for flag in _flags(name):
+                assert f"--{flag}" in out, (name, flag)
+
     @pytest.mark.parametrize("argv, code", [
         (["check", "--p1", "-1e-13", "--p2", "0.5", "--p3", "0.5"], 0),
         (["mean", "--p1", "0.6", "--p2", "0.7", "--p3", "0.8", "--z2", "-1e3"], 0),
