@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -29,7 +28,6 @@ from .states import (
 # a scalar subcommand such as check starts without loading them.
 
 SEED_ENV_VAR = "COIN_QUBIT_SEED"
-_NEGATIVE_FLOAT = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 _JSON_MAX = 1 << 20  # characters read at most from a --state*, --weights or --obs file
 
 try:  # the C function json.dumps(str) calls, without importing json
@@ -249,10 +247,12 @@ def _mean(args, p) -> dict:
 _STATE = (("p", "state"),)
 _PAIR = (("p", "state1"), ("q", "state2"))
 
-# name -> (help, state slots as (flag prefix, file flag), extra arguments as
-# (flag, add_argument keywords), handler(args, *states) returning the dict to
-# print as JSON, or the text to print as it is).  Each slot adds the flags
-# --<prefix>1/2/3 and --<file flag>; main resolves the slots in order.
+# name -> (help, state slots as (flag prefix, file flag), extra flags as
+# (flag, options), handler(args, *states) returning the dict to print as
+# JSON, or the text to print as it is).  Each slot adds the flags
+# --<prefix>1/2/3 and --<file flag>; main resolves the slots in order.  A
+# flag's options are its type (str if none; a bool flag is a bare switch),
+# choices, default, whether it is required, and help.
 _COMMANDS = {
     "check": ("classify a triple against the ball", _STATE, [],
               lambda _, p: {"class": p.classify(), "radius2": p.radius2}),
@@ -261,108 +261,113 @@ _COMMANDS = {
     "fidelity": ("overlap of two quantum triples", _PAIR, [],
                  lambda _, p, q: {"fidelity": fidelity(p, q)}),
     "convert": ("triple to density matrix, spinor or complex number", _STATE,
-                [("--to", {"choices": ("density", "spinor", "complex"),
-                           "default": "density"})], _convert),
+                [("to", {"choices": ("density", "spinor", "complex"),
+                         "default": "density"})], _convert),
     "superpose": ("superpose two pure states", (*_PAIR, ("w", "weights")), [],
                   _superpose),
     "partner": ("orthogonal partner of a pure state", _STATE,
-                [("--sign", {"choices": ("+", "-"), "default": "+"})], _partner),
+                [("sign", {"choices": ("+", "-"), "default": "+"})], _partner),
     "triada": ("Malevich square side lengths", _STATE, [], _triada),
     "render": ("render the triada as SVG", _STATE,
-               [("--scale", {"type": float, "default": 100.0}),
-                ("--labels", {"action": "store_true"}), ("--out", {})], _render),
+               [("scale", {"type": float, "default": 100.0}),
+                ("labels", {"type": bool, "default": False}),
+                ("out", {"help": "write the SVG to this file"})], _render),
     "sample": ("simulate coin flips and estimate the triple", _STATE,
-               [("--n", {"type": int, "required": True}), ("--seed", {"type": int}),
-                ("--flips", {"help": "write the flip stream to this CSV"})], _sample),
+               [("n", {"type": int, "required": True, "help": "flips per axis"}),
+                ("seed", {"type": int, "help": f"or set {SEED_ENV_VAR}"}),
+                ("flips", {"help": "write the flip stream to this CSV"})], _sample),
     "mean": ("quantum mean of a coin observable", _STATE,
-             [*((f"--{name}", {"type": float}) for name in ("x", "y", "z1", "z2")),
-              ("--obs", {"help": "observable JSON file {x, y, z1, z2}"})], _mean),
+             [*((name, {"type": float}) for name in ("x", "y", "z1", "z2")),
+              ("obs", {"help": "observable JSON file {x, y, z1, z2}"})], _mean),
 }
+_METAVARS = {float: "FLOAT", int: "INT", str: "FILE", bool: ""}
 
 
 def _flags(name: str) -> dict:
-    """Flag (without its "--") -> add_argument keywords, for the flags of
-    table entry `name` in the order the help text lists them."""
+    """Flag (without its "--") -> options, for the flags of table entry
+    `name` in the order the help text lists them."""
     _, slots, extra, _ = _COMMANDS[name]
     flags = {}
     for prefix, path_flag in slots:
         flags.update((f"{prefix}{i}", {"type": float}) for i in (1, 2, 3))
-        flags[path_flag] = {}
-    flags.update((flag[2:], options) for flag, options in extra)
+        flags[path_flag] = {"help": f"JSON file in place of --{prefix}1/2/3"}
+    flags.update(extra)
     return flags
 
 
-def _read(argv) -> SimpleNamespace | None:
-    """The namespace argparse gives for a well-formed argv, read from the
-    table alone; None for any other argv, which argparse then reads.
+def _metavar(options: dict) -> str:
+    """What a flag takes, as help and usage errors name it."""
+    choices = options.get("choices")
+    return "{" + ",".join(choices) + "}" if choices else _METAVARS[options.get("type", str)]
 
-    Accepted: a subcommand, then only "--flag=text" and "--flag text" for
-    its exact flags (and a bare --labels), each text converted by the flag's
-    type and within its choices, with every required flag present.  A
-    separate text may start with "-" only as a negative number.  Help,
-    "--", abbreviations, unknown flags, empty or bad values and a missing
-    required flag are left to argparse, so their output is argparse's.
+
+def _help(name: str) -> str:
+    """The help text of subcommand `name`, or the top-level help for any
+    other name.  Its layout is fixed: no terminal width changes it."""
+    if name in _COMMANDS:
+        head = f"coinqubit {name} [FLAGS]\n\n{_COMMANDS[name][0]}\n\nflags:"
+        rows = [(f"--{flag} {_metavar(options)}".rstrip(), options.get("help", "")
+                 + (" (required)" if options.get("required") else ""))
+                for flag, options in _flags(name).items()]
+    else:
+        head = ("coinqubit SUBCOMMAND [FLAGS]\n\n"
+                "Qubit states as three coin probabilities. Each subcommand prints JSON\n"
+                "(render prints SVG). Exit codes: 0 on success, 1 on a usage error,\n"
+                "2 on a domain error, with a JSON error object on stderr.\n\nsubcommands:")
+        rows = [(command, entry[0]) for command, entry in _COMMANDS.items()]
+    rows.append(("-h, --help", "show this help"))
+    width = max(len(left) for left, _ in rows)
+    lines = (f"  {left:<{width}}  {right}".rstrip() for left, right in rows)
+    return f"usage: {head}\n" + "\n".join(lines) + "\n"
+
+
+def _read(argv) -> SimpleNamespace:
+    """The namespace of argv, read from the command table.
+
+    A subcommand, then "--flag=text" or "--flag text" for its exact flags
+    (a bool flag bare), each text converted by the flag's type and within
+    its choices, the last of a repeated flag winning, with every required
+    flag present.  A separate text may not start with "--".  -h or --help
+    anywhere raises _Help with the help text; any other argv raises
+    _UsageError with its reason.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    flags = _flags(argv[0])
-    values = {flag: options.get("default", False if "action" in options else None)
-              for flag, options in flags.items()}
+    name = argv[0] if argv else ""
+    if "-h" in argv or "--help" in argv:
+        raise _Help(_help(name))
+    if name not in _COMMANDS:
+        raise _UsageError(f"expected a subcommand ({', '.join(_COMMANDS)}), got "
+                          + (repr(name) if argv else "none"))
+    flags = _flags(name)
+    values = {flag: options.get("default") for flag, options in flags.items()}
     tokens = iter(argv[1:])
     for token in tokens:
         flag, equals, text = token[2:].partition("=")
         options = flags.get(flag) if token.startswith("--") else None
         if options is None:
-            return None
-        if "action" in options:  # store_true: bare only
+            raise _UsageError(f"{name} takes no argument {token!r}")
+        kind = options.get("type", str)
+        if kind is bool:
             if equals:
-                return None
+                raise _UsageError(f"--{flag} takes no value")
             values[flag] = True
             continue
         if not equals:
-            text = next(tokens, "")
-            if text.startswith("-") and not _NEGATIVE_FLOAT.match(text):
-                return None
-        if not text:
-            return None
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise _UsageError(f"--{flag} needs a value; write --{flag}=TEXT "
+                                  f"for one that starts with '--'")
         try:
-            value = options.get("type", str)(text)
+            value = kind(text)
         except ValueError:
-            return None
-        if value not in options.get("choices", (value,)):
-            return None
+            value = None
+        if value is None or value not in options.get("choices", (value,)):
+            raise _UsageError(f"--{flag} takes {_metavar(options)}, got {text!r}")
         values[flag] = value
-    if any(options.get("required") and values[flag] is None
-           for flag, options in flags.items()):
-        return None
-    return SimpleNamespace(subcommand=argv[0], **values)
-
-
-def _parser():
-    """The argparse parser, one subparser per table entry."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            # argparse's negative-number pattern has no exponent, so it read
-            # the "-1e3" of "--z2 -1e3" as an option; any negative float is
-            # a value.
-            self._negative_number_matcher = _NEGATIVE_FLOAT
-
-        def error(self, message):  # noqa: A003 - argparse API
-            raise _UsageError(message)
-
-        def print_help(self, file=None):  # main writes the text to stdout
-            raise _Help(self.format_help())
-
-    parser = _Parser(prog="coinqubit", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for command in _COMMANDS:
-        subparser = sub.add_parser(command, help=_COMMANDS[command][0])
-        for flag, options in _flags(command).items():
-            subparser.add_argument(f"--{flag}", **options)
-    return parser
+    missing = [f"--{flag}" for flag, options in flags.items()
+               if options.get("required") and values[flag] is None]
+    if missing:
+        raise _UsageError(f"{name} requires {', '.join(missing)}")
+    return SimpleNamespace(subcommand=name, **values)
 
 
 def main(argv=None) -> int:
@@ -371,8 +376,6 @@ def main(argv=None) -> int:
     try:
         try:
             args = _read(argv)
-            if args is None:
-                args = _parser().parse_args(argv)
             _, slots, _, handler = _COMMANDS[args.subcommand]
             result = handler(args, *(_state_from(args, *slot) for slot in slots))
         except _Help as request:

@@ -70,9 +70,13 @@ def classical_means(
 def second_moments(
     obs: CoinObservable, p: ProbabilityTriple
 ) -> tuple[float, float, float]:
-    """Second moments; the x and y moments do not depend on the state."""
-    moment_z = (obs.z1 ** 2 - obs.z2 ** 2) * p.p3 + obs.z2 ** 2
-    return obs.x ** 2, obs.y ** 2, moment_z
+    """Second moments; the x and y moments do not depend on the state.
+    Coefficients whose squares overflow are a DomainError."""
+    try:
+        moment_z = (obs.z1 ** 2 - obs.z2 ** 2) * p.p3 + obs.z2 ** 2
+        return obs.x ** 2, obs.y ** 2, moment_z
+    except OverflowError as exc:
+        raise DomainError(f"a second moment of {obs!r} overflows") from exc
 
 
 def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:

@@ -419,9 +419,12 @@ def complex_to_coins(z: complex) -> ProbabilityTriple:
     sits at a pole (see coin_phase).
     """
     z = complex(z)
-    mag2 = abs(z) ** 2
+    try:
+        mag2 = abs(z) ** 2
+    except OverflowError:  # |z| or its square past the float maximum
+        mag2 = math.inf
     if mag2 > 1.0 + SPILL_TOL:
-        raise DomainError(f"|z| must be <= 1, got |z| = {abs(z)!r}")
+        raise DomainError(f"|z| must be <= 1, got z = {z!r}")
     p3 = min(mag2, 1.0)
     r = math.sqrt(p3 * (1.0 - p3))
     p = _pure_triple(p3, r, cmath.phase(z))

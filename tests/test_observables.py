@@ -41,13 +41,15 @@ def test_classical_means_fixtures():
 
 
 def test_second_moments():
-    obs = CoinObservable(2, 0, 3, -1)
+    obs = CoinObservable(2, -3, 3, -1)
     p = ProbabilityTriple(0.3, 0.9, 0.8)
     mx, my, mz = second_moments(obs, p)
-    assert mx == 4.0 and my == 0.0
+    assert mx == 4.0 and my == 9.0
     assert mz == pytest.approx(7.4, abs=1e-12)
     # x and y moments do not depend on the state
-    assert second_moments(obs, ProbabilityTriple(0, 0, 0))[:2] == (4.0, 0.0)
+    assert second_moments(obs, ProbabilityTriple(0, 0, 0))[:2] == (4.0, 9.0)
+    with pytest.raises(DomainError):  # 1.4e154 squared is past the float maximum
+        second_moments(CoinObservable(1.4e154, 0, 0, 0), p)
     # degenerate z variable: constant second moment
     obs_const = CoinObservable(0, 0, 5, 5)
     for p3 in (0.0, 0.3, 1.0):

@@ -408,8 +408,9 @@ class TestComplexCoins:
         assert p.p2 == pytest.approx(0.5 + 0.5 / math.sqrt(2.0), abs=1e-15)
 
     def test_rejects_outside_disk(self):
-        with pytest.raises(DomainError):
-            complex_to_coins(1.0 + 1.0j)
+        for z in (1.0 + 1.0j, 1e155):  # the square of 1e155 overflows
+            with pytest.raises(DomainError):
+                complex_to_coins(z)
 
     def test_the_phase_is_dropped_where_coin_phase_reads_a_pole(self):
         # the azimuth radius 1.000001e-12 is above POLE_TOL, but the triple's

@@ -332,6 +332,42 @@ class TestOrthogonalRule:
             assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-10)
             assert abs(matrix @ matrix - matrix).max() < 1e-10
 
+    def test_the_default_rho0_given_explicitly(self, rng):
+        # |psi0> = (|psi1> + e^{i*alpha}|psi2>)/sqrt(2) reproduces each default
+        for _ in range(100):
+            p = random_pure(rng)
+            q = orthogonal_partner(p)
+            w = SuperpositionWeights(random_pure(rng, z_margin=0.01))
+            psi0 = (np.array(_spinor_ket(p))
+                    + cmath.exp(1j * w.alpha) * np.array(_spinor_ket(q))) / math.sqrt(2)
+            rho0 = DensityMatrix2.from_array(np.outer(psi0, psi0.conj()))
+            assert abs(assemble_projector_sum(p, q, w, rho0)
+                       - assemble_projector_sum(p, q, w)).max() < 1e-12
+            assert _max_diff(superpose_orthogonal(p, q, w, rho0),
+                             superpose_orthogonal(p, q, w)) < 1e-12
+            for given_rho0, default in zip(delta_decomposition(p, q, w, rho0),
+                                           delta_decomposition(p, q, w)):
+                assert np.max(abs(given_rho0 - default)) < 1e-9 * np.max(abs(default))
+
+    def test_a_mixed_rho0_follows_the_docstring_formula(self, rng):
+        rho0 = prob_to_density(ProbabilityTriple(0.6, 0.3, 0.7))
+        r0 = rho0.as_array()
+        for _ in range(100):
+            p = random_pure(rng)
+            q = orthogonal_partner(p)
+            w = SuperpositionWeights(random_pure(rng, z_margin=0.01))
+            r1, r2 = prob_to_density(p).as_array(), prob_to_density(q).as_array()
+            trace_factor = np.trace(r1 @ r0 @ r2 @ r0).real
+            matrix = (w.lambda1 * r1 + w.lambda2 * r2 + math.sqrt(w.lambda1 * w.lambda2)
+                      * (r1 @ r0 @ r2 + r2 @ r0 @ r1) / math.sqrt(trace_factor))
+            matrix /= np.trace(matrix).real
+            assert abs(assemble_projector_sum(p, q, w, rho0) - matrix).max() < 1e-12
+            state = density_to_prob(DensityMatrix2.from_array(matrix))
+            assert abs(superpose_orthogonal(p, q, w, rho0).state.vec()
+                       - state.vec()).max() < 1e-12
+            assert delta_decomposition(p, q, w, rho0)[2] == pytest.approx(
+                trace_factor ** -0.5, rel=1e-12)
+
     @pytest.mark.parametrize("p, q", [
         # fidelity 2.5e-11, inside ORTHO_TOL but not exactly orthogonal
         ((0.8875230508458739, 0.6638421180023594, 0.7701511529340699),
