@@ -39,7 +39,10 @@ class MalevichTriada(_Frozen):
 
     def __init__(self, L1: float, L2: float, L3: float) -> None:
         for name, value in zip(self.__slots__, (L1, L2, L3)):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an int too large for a float
+                raise DomainError(f"{name} overflows a float") from None
             if not 0.0 <= value <= SIDE_MAX + SIDE_TOL:
                 raise DomainError(
                     f"{name} must lie in [0, sqrt(2)], got {value!r}"
@@ -78,7 +81,11 @@ def render_svg(
     white square is stroked black so it stays visible.  Squares of zero
     side are suppressed.  Identical inputs yield byte-identical output.
     """
-    if not (math.isfinite(scale) and scale > 0.0):
+    try:
+        finite = math.isfinite(scale)
+    except OverflowError:  # an int too large for a float
+        raise ValueError("scale overflows a float") from None
+    if not (finite and scale > 0.0):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
     sides = [side * scale for side in triada.sides()]
     gap = 0.25 * max(triada.sides()) * scale

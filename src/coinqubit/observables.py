@@ -36,7 +36,10 @@ class CoinObservable(_Frozen):
 
     def __init__(self, x: float, y: float, z1: float, z2: float) -> None:
         for name, value in zip(self.__slots__, (x, y, z1, z2)):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an int too large for a float
+                raise DomainError(f"{name} overflows a float") from None
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
             _set(self, name, value)

@@ -85,7 +85,10 @@ def _cmul(x: complex, y: complex) -> complex:
 
 def _unit_interval(value: float, name: str) -> float:
     """Validate a probability, absorbing floating spill up to SPILL_TOL."""
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        raise DomainError(f"{name} overflows a float") from None
     if 0.0 <= value <= 1.0:  # nan and +-inf fail this and reach the checks below
         return value
     if not math.isfinite(value):
@@ -95,10 +98,10 @@ def _unit_interval(value: float, name: str) -> float:
     raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def _number_field(data: dict, name: str, kind: str) -> float:
-    """Field `name` of a parsed JSON object as a float.  Only JSON numbers
-    are read (a bool is not one); a missing field or an integer too large
-    for a float is a DomainError."""
+def _number_field(data: dict, name: str, kind: str) -> int | float:
+    """Field `name` of a parsed JSON object, for a constructor to convert
+    (an integer too large for a float is its DomainError).  Only JSON
+    numbers are read (a bool is not one); a missing field is a DomainError."""
     if name not in data:
         raise DomainError(f"{kind} object is missing field {name!r}")
     value = data[name]
@@ -106,10 +109,19 @@ def _number_field(data: dict, name: str, kind: str) -> float:
         raise DomainError(
             f"{kind} field {name!r} must be a number, got {type(value).__name__}"
         )
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise DomainError(f"{kind} field {name!r} overflows a float") from exc
+    return value
+
+
+def _overflow(names: tuple[str, ...], values: tuple) -> DomainError:
+    """The DomainError for the first of `values` that is an int too large
+    for a float, named by its entry in `names`: for a constructor whose
+    conversion of `values` raised OverflowError."""
+    for name, value in zip(names, values):
+        try:
+            complex(value)
+        except OverflowError:
+            break
+    return DomainError(f"{name} overflows a float")
 
 
 _set = object.__setattr__  # how an __init__ stores a field of a _Frozen value
@@ -227,7 +239,10 @@ class DensityMatrix2(_Frozen):
     __slots__ = ("rho00", "rho01", "rho11")
 
     def __init__(self, rho00: float, rho01: complex, rho11: float) -> None:
-        rho00, rho01, rho11 = float(rho00), complex(rho01), float(rho11)
+        try:
+            rho00, rho01, rho11 = float(rho00), complex(rho01), float(rho11)
+        except OverflowError:
+            raise _overflow(self.__slots__, (rho00, rho01, rho11)) from None
         if not abs(rho00 + rho11 - 1.0) <= UNIT_TOL:
             raise DomainError(f"trace must be 1, got {rho00 + rho11!r}")
         if not cmath.isfinite(rho01):
@@ -286,7 +301,10 @@ class Spinor2(_Frozen):
     __slots__ = ("amplitude0", "amplitude1", "phase")
 
     def __init__(self, amplitude0: float, amplitude1: float, phase: float) -> None:
-        a0, a1, phase = float(amplitude0), float(amplitude1), float(phase)
+        try:
+            a0, a1, phase = float(amplitude0), float(amplitude1), float(phase)
+        except OverflowError:
+            raise _overflow(self.__slots__, (amplitude0, amplitude1, phase)) from None
         if a0 < 0.0 or a1 < 0.0:
             raise DomainError("spinor amplitudes must be nonnegative")
         if not abs(a0 * a0 + a1 * a1 - 1.0) <= UNIT_TOL:
@@ -418,7 +436,10 @@ def complex_to_coins(z: complex) -> ProbabilityTriple:
     (p1-1/2)^2 + (p2-1/2)^2 = p3(1-p3); the phase is 0 where that triple
     sits at a pole (see coin_phase).
     """
-    z = complex(z)
+    try:
+        z = complex(z)
+    except OverflowError:  # an int too large for a float
+        raise DomainError("z overflows a float") from None
     try:
         mag2 = abs(z) ** 2
     except OverflowError:  # |z| or its square past the float maximum

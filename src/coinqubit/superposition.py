@@ -436,7 +436,11 @@ def weights_for_phase(alpha: float, pi3: float = 0.5) -> SuperpositionWeights:
     """Pure weight triple with weight Pi3 and relative phase alpha."""
     if not 0.0 <= pi3 <= 1.0:
         raise DomainError(f"Pi3 must lie in [0, 1], got {pi3!r}")
-    if not math.isfinite(alpha):
+    try:
+        finite = math.isfinite(alpha)
+    except OverflowError:  # an int too large for a float
+        raise DomainError("alpha overflows a float") from None
+    if not finite:
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     r = math.sqrt(pi3 * (1.0 - pi3))
     return SuperpositionWeights(_pure_triple(pi3, r, alpha))

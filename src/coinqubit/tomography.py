@@ -68,6 +68,7 @@ class FlipRecord(namedtuple("FlipRecord", "axis outcome trial")):
             raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
         if outcome not in OUTCOMES:
             raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
+        trial = _int("trial", trial)
         if trial < 0:
             raise ValueError(f"trial index must be nonnegative, got {trial}")
         return tuple.__new__(cls, (axis, outcome, trial))
@@ -150,16 +151,21 @@ def _top(prob: float) -> int:
     return (math.ceil(prob * 2.0**53) << 11) - 1
 
 
+def _int(name: str, value) -> int:
+    """`value` as an int, a numpy integer included; anything else, a bool
+    too, is a TypeError naming the field `name`."""
+    try:  # operator.index takes a bool for an int
+        return operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}") from None
+
+
 def _check_draw(p: ProbabilityTriple, n_per_axis: int, seed: int) -> list[int]:
     """p checked quantum; [n_per_axis, seed] checked ints >= 1 and >= 0."""
     _require_quantum(p, "target state")
     checked = []
     for name, value, low in (("n_per_axis", n_per_axis, 1), ("seed", seed, 0)):
-        try:  # operator.index takes a bool for an int
-            checked.append(operator.index(None if isinstance(value, bool) else value))
-        except TypeError:
-            raise TypeError(
-                f"{name} must be an int, got {type(value).__name__}") from None
+        checked.append(_int(name, value))
         if checked[-1] < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
     return checked
@@ -174,11 +180,9 @@ def _up_chunks(
     for i, prob in enumerate((p.p1, p.p2, p.p3)):
         bits = _axis_rng(seed, i).bit_generator
         bits.advance(lo)  # one 64-bit output per flip
-        top = _top(prob)
-        # no output is up where top = -1, whatever numpy makes of uint64 <= -1
-        up, bound = (operator.le, top) if top >= 0 else (operator.lt, 0)
+        top = _top(prob)  # -1, where no output is up, compares as such (NEP 50)
         for start in range(lo, hi, _CHUNK):
-            yield i, start, up(bits.random_raw(min(_CHUNK, hi - start)), bound)
+            yield i, start, bits.random_raw(min(_CHUNK, hi - start)) <= top
 
 
 def _fold(ups, totals, seed: int | None) -> EstimateReport:

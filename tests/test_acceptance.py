@@ -37,8 +37,6 @@ from coinqubit import (
 )
 from conftest import random_pure, random_quantum, random_valid
 
-pytestmark = pytest.mark.needs_numpy  # numpy is imported above
-
 
 def _report(criterion: str) -> None:
     print(f"PASS {criterion}")

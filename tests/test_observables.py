@@ -22,8 +22,6 @@ from coinqubit import (
 )
 from conftest import exact_fma, needs_fused_numpy, random_quantum, random_valid
 
-pytestmark = pytest.mark.needs_numpy  # numpy is imported above
-
 
 def test_observable_rejects_non_finite():
     with pytest.raises(DomainError):

@@ -14,14 +14,20 @@ import pytest
 
 from coinqubit import (
     CoinObservable,
+    DensityMatrix2,
+    DomainError,
     MalevichTriada,
     ProbabilityTriple,
+    Spinor2,
     SuperpositionWeights,
+    complex_to_coins,
     prob_to_density,
     prob_to_spinor,
+    render_svg,
     run_experiment,
     superpose_general,
     triada_sides,
+    weights_for_phase,
 )
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -115,6 +121,27 @@ def test_equality_is_type_strict():
     assert triada != triple and not triada == triple
     assert ProbabilityTriple(0.5, 0.5, 0.5) != (0.5, 0.5, 0.5)
     assert ProbabilityTriple(0.5, 0.5, 0.5) != ProbabilityTriple(0.5, 0.5, 0.25)
+
+
+HUGE = 10 ** 400  # an int too large for a float
+
+
+@pytest.mark.parametrize("make, error, field", [
+    (lambda: ProbabilityTriple(HUGE, 0.5, 0.5), DomainError, "p1"),
+    (lambda: DensityMatrix2(HUGE, 0, 0.5), DomainError, "rho00"),
+    (lambda: DensityMatrix2(0.5, HUGE, 0.5), DomainError, "rho01"),
+    (lambda: Spinor2(1, HUGE, 0), DomainError, "amplitude1"),
+    (lambda: Spinor2(1, 0, HUGE), DomainError, "phase"),
+    (lambda: CoinObservable(0, HUGE, 0, 0), DomainError, "y"),
+    (lambda: MalevichTriada(1, 1, HUGE), DomainError, "L3"),
+    (lambda: complex_to_coins(HUGE), DomainError, "z"),
+    (lambda: weights_for_phase(HUGE), DomainError, "alpha"),
+    (lambda: render_svg(MalevichTriada(1, 1, 1), scale=HUGE), ValueError, "scale"),
+], ids=["triple", "rho00", "rho01", "amplitude", "phase", "observable", "triada",
+        "complex", "alpha", "scale"])
+def test_an_int_too_large_for_a_float_is_a_typed_error(make, error, field):
+    with pytest.raises(error, match=f"^{field} overflows a float$"):
+        make()
 
 
 # Runs each argument as a step, an expression or a statement, and prints

@@ -50,8 +50,6 @@ from conftest import (
     random_valid,
 )
 
-pytestmark = pytest.mark.needs_numpy  # numpy is imported above
-
 probs = st.floats(min_value=0.0, max_value=1.0)
 
 

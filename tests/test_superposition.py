@@ -41,8 +41,6 @@ from coinqubit.states import (
 )
 from conftest import exact_cmul, exact_fma, needs_fused_numpy, random_pure
 
-pytestmark = pytest.mark.needs_numpy  # numpy is imported above
-
 UP = ProbabilityTriple(0.5, 0.5, 1.0)
 DOWN = ProbabilityTriple(0.5, 0.5, 0.0)
 PLUS_TILT = weights_for_phase(1.0, 0.3).triple  # pure, off the poles

@@ -33,8 +33,6 @@ from coinqubit.tomography import (
     AXES, _CHUNK, _PLAIN_MAX, _axis_rng, _plain_raw, _top, _up_chunks,
 )
 
-pytestmark = pytest.mark.needs_numpy  # numpy is imported above
-
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 PURE_TARGET = ProbabilityTriple(
@@ -434,13 +432,16 @@ class TestFlipRecord:
     """The public contract of a flip record, and the records sample_flips
     builds without going through the constructor."""
 
-    @pytest.mark.parametrize("fields, message", [
-        (("w", "up", 0), "axis must be one of"),
-        (("x", "side", 0), "outcome must be one of"),
-        (("x", "up", -1), "trial index must be nonnegative"),
+    @pytest.mark.parametrize("fields, error, message", [
+        (("w", "up", 0), ValueError, "axis must be one of"),
+        (("x", "side", 0), ValueError, "outcome must be one of"),
+        (("x", "up", -1), ValueError, "trial index must be nonnegative"),
+        (("x", "up", 1.5), TypeError, "trial must be an int, got float"),
+        (("x", "up", "3"), TypeError, "trial must be an int, got str"),
+        (("x", "up", True), TypeError, "trial must be an int, got bool"),
     ])
-    def test_constructor_rejects_bad_fields(self, fields, message):
-        with pytest.raises(ValueError, match=message):
+    def test_constructor_rejects_bad_fields(self, fields, error, message):
+        with pytest.raises(error, match=message):
             FlipRecord(*fields)
 
     def test_fields_are_read_only(self):
@@ -467,11 +468,13 @@ class TestFlipRecord:
         axis, outcome, trial = record
         assert (axis, outcome, trial) == (record.axis, record.outcome, record.trial)
 
-    @pytest.mark.parametrize(
-        "change", [{"axis": "w"}, {"outcome": "side"}, {"trial": -1}]
-    )
-    def test_replace_validates(self, change):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("change, error", [
+        ({"axis": "w"}, ValueError), ({"outcome": "side"}, ValueError),
+        ({"trial": -1}, ValueError), ({"trial": 1.5}, TypeError),
+        ({"trial": "3"}, TypeError),
+    ])
+    def test_replace_validates(self, change, error):
+        with pytest.raises(error):
             FlipRecord("x", "up", 0)._replace(**change)
 
     def test_sample_flips_records_pass_the_constructor(self):
