@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .states import SIDE_TOL, SPILL_TOL, ProbabilityTriple, _Frozen, _set
+from .states import SIDE_TOL, SPILL_TOL, ProbabilityTriple, _Frozen
 
 SIDE_MAX = math.sqrt(2.0)
 
@@ -24,10 +24,11 @@ SIDE_MAX = math.sqrt(2.0)
 _FILLS = ("black", "red", "white")
 _MARGIN = 10.0
 # printf templates: %.3f and %.5f convert as the format specs .3f and .5f
-# do, so coordinates are fixed-point and the output is byte-stable
+# do, so coordinates are fixed-point and the output is byte-stable; a
+# number printed twice is formatted once and filled in as text
 _SVG_TAG = ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            'width="%.3f" height="%.3f" viewBox="0 0 %.3f %.3f">')
-_RECT = '<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f" fill="%s"%s/>'
+            'width="%s" height="%s" viewBox="0 0 %s %s">')
+_RECT = '<rect x="%.3f" y="%.3f" width="%s" height="%s" fill="%s"%s/>'
 _LABEL = ('<text x="%.3f" y="%.3f" text-anchor="middle" '
           'font-family="sans-serif" font-size="10">%.5f</text>')
 
@@ -38,7 +39,7 @@ class MalevichTriada(_Frozen):
     __slots__ = ("L1", "L2", "L3")
 
     def __init__(self, L1: float, L2: float, L3: float) -> None:
-        for name, value in zip(self.__slots__, (L1, L2, L3)):
+        for name, setter, value in zip(self._fields, self._setters, (L1, L2, L3)):
             try:
                 value = float(value)
             except OverflowError:  # an int too large for a float
@@ -47,7 +48,7 @@ class MalevichTriada(_Frozen):
                 raise DomainError(
                     f"{name} must lie in [0, sqrt(2)], got {value!r}"
                 )
-            _set(self, name, value)
+            setter(self, value)
 
     def sides(self) -> tuple[float, float, float]:
         return self.L1, self.L2, self.L3
@@ -102,10 +103,13 @@ def render_svg(
     for size, fill, side in zip(sides, _FILLS, triada.sides()):
         if size > 0.0:
             stroke = ' stroke="black" stroke-width="1"' if fill == "white" else ""
-            body.append(_RECT % (x, baseline - size, size, size, fill, stroke))
+            edge = "%.3f" % size
+            body.append(_RECT % (x, baseline - size, edge, edge, fill, stroke))
             if labels:
                 body.append(_LABEL % (x + size / 2.0, baseline + 14.0, side))
         x += size + gap
 
-    lines = [_SVG_TAG % (width, height, width, height), *body, "</svg>"]
+    width_text, height_text = "%.3f" % width, "%.3f" % height
+    lines = [_SVG_TAG % (width_text, height_text, width_text, height_text), *body,
+             "</svg>"]
     return "\n".join(lines) + "\n"

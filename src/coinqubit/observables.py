@@ -19,7 +19,6 @@ from .states import (
     _fma,
     _number_field,
     _require_quantum,
-    _set,
     prob_to_density,
 )
 
@@ -35,14 +34,14 @@ class CoinObservable(_Frozen):
     __slots__ = ("x", "y", "z1", "z2")
 
     def __init__(self, x: float, y: float, z1: float, z2: float) -> None:
-        for name, value in zip(self.__slots__, (x, y, z1, z2)):
+        for name, setter, value in zip(self._fields, self._setters, (x, y, z1, z2)):
             try:
                 value = float(value)
             except OverflowError:  # an int too large for a float
                 raise DomainError(f"{name} overflows a float") from None
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
-            _set(self, name, value)
+            setter(self, value)
 
     def matrix(self) -> np.ndarray:
         """Hermitian matrix [[z1, x - i y], [x + i y, z2]]."""

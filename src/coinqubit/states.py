@@ -98,6 +98,18 @@ def _unit_interval(value: float, name: str) -> float:
     raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message.  An int past Python's limit for
+    printing ints in decimal (4300 digits by default) shows as its length."""
+    try:
+        return repr(value)
+    except ValueError:  # int.__repr__ refuses it
+        n = abs(value)
+        digits = int(math.log10(n)) + 1  # off by at most one either way
+        digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def _number_field(data: dict, name: str, kind: str) -> int | float:
     """Field `name` of a parsed JSON object, for a constructor to convert
     (an integer too large for a float is its DomainError).  Only JSON
@@ -124,25 +136,32 @@ def _overflow(names: tuple[str, ...], values: tuple) -> DomainError:
     return DomainError(f"{name} overflows a float")
 
 
-_set = object.__setattr__  # how an __init__ stores a field of a _Frozen value
-
-
 class _Frozen:
-    """Immutable value whose fields are its ``__slots__``, in order.
+    """Immutable value whose fields are ``_fields``, by default its
+    ``__slots__`` in order.  A class that names a shorter ``_fields`` keeps
+    in its other slots values its ``__init__`` derives from the fields.
 
-    Each subclass's ``__init__`` checks its arguments and stores them with
-    ``_set``.  Equality and hashing go field by field and hold only between
-    instances of one class; ``repr`` reads like a dataclass's, and pickling
-    and copying rebuild the value through ``__init__``.
+    Each subclass's ``__init__`` checks its arguments and stores every slot
+    through ``_setters``: the ``__set__`` of each slot's member descriptor,
+    in ``__slots__`` order, a base's slots first.  Equality and hashing go
+    field by field and hold only between instances of one class; ``repr``
+    reads like a dataclass's, and pickling and copying rebuild the value
+    from its fields through ``__init__``.
     """
 
     __slots__ = ()
+    _fields = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__slots__
+        own = vars(cls)  # a subclass's own slots extend its base's fields
+        cls._fields = own.get("_fields", cls._fields + own.get("__slots__", ()))
+        cls.__match_args__ = cls._fields
+        slots = [name for base in reversed(cls.__mro__)
+                 for name in vars(base).get("__slots__", ())]
+        cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -153,7 +172,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
@@ -179,33 +198,38 @@ class ProbabilityTriple(_Frozen):
     Any point of the unit cube is constructible; only the points inside the
     correlation ball (p1-1/2)^2 + (p2-1/2)^2 + (p3-1/2)^2 <= 1/4 correspond
     to qubit states.  Triples outside the ball are called classical and are
-    rejected by quantum-only operations, not by the constructor.
+    rejected by quantum-only operations, not by the constructor.  The
+    constructor stores ``radius2``, the squared distance from the cube
+    center (1/2, 1/2, 1/2), beside the three fields.
     """
 
-    __slots__ = ("p1", "p2", "p3")
+    __slots__ = ("p1", "p2", "p3", "radius2")
+    _fields = ("p1", "p2", "p3")
 
     def __init__(self, p1: float, p2: float, p3: float) -> None:
-        _set(self, "p1", _unit_interval(p1, "p1"))
-        _set(self, "p2", _unit_interval(p2, "p2"))
-        _set(self, "p3", _unit_interval(p3, "p3"))
+        # three exact floats in [0, 1] pass as given; nan fails the comparison
+        if not (float is p1.__class__ is p2.__class__ is p3.__class__
+                and 0.0 <= p1 <= 1.0 >= p2 >= 0.0 <= p3 <= 1.0):
+            p1 = _unit_interval(p1, "p1")
+            p2 = _unit_interval(p2, "p2")
+            p3 = _unit_interval(p3, "p3")
+        set_p1, set_p2, set_p3, set_radius2 = self._setters
+        set_p1(self, p1)
+        set_p2(self, p2)
+        set_p3(self, p3)
+        set_radius2(self, (p1 - 0.5) ** 2 + (p2 - 0.5) ** 2 + (p3 - 0.5) ** 2)
 
     def vec(self) -> np.ndarray:
         import numpy as np
 
         return np.array([self.p1, self.p2, self.p3])
 
-    @property
-    def radius2(self) -> float:
-        """Squared distance from the cube center (1/2, 1/2, 1/2)."""
-        return (
-            (self.p1 - 0.5) ** 2 + (self.p2 - 0.5) ** 2 + (self.p3 - 0.5) ** 2
-        )
-
     def classify(self) -> str:
         """Return 'pure', 'mixed' or 'classical'."""
-        if self.is_pure:
+        excess = self.radius2 - 0.25
+        if abs(excess) <= BALL_TOL:
             return "pure"
-        return "mixed" if self.is_quantum else "classical"
+        return "mixed" if excess <= BALL_TOL else "classical"
 
     @property
     def is_quantum(self) -> bool:
@@ -242,14 +266,15 @@ class DensityMatrix2(_Frozen):
         try:
             rho00, rho01, rho11 = float(rho00), complex(rho01), float(rho11)
         except OverflowError:
-            raise _overflow(self.__slots__, (rho00, rho01, rho11)) from None
+            raise _overflow(self._fields, (rho00, rho01, rho11)) from None
         if not abs(rho00 + rho11 - 1.0) <= UNIT_TOL:
             raise DomainError(f"trace must be 1, got {rho00 + rho11!r}")
         if not cmath.isfinite(rho01):
             raise DomainError(f"rho01 must be finite, got {rho01!r}")
-        _set(self, "rho00", rho00)
-        _set(self, "rho01", rho01)
-        _set(self, "rho11", rho11)
+        set_rho00, set_rho01, set_rho11 = self._setters
+        set_rho00(self, rho00)
+        set_rho01(self, rho01)
+        set_rho11(self, rho11)
 
     @property
     def rho10(self) -> complex:
@@ -304,7 +329,7 @@ class Spinor2(_Frozen):
         try:
             a0, a1, phase = float(amplitude0), float(amplitude1), float(phase)
         except OverflowError:
-            raise _overflow(self.__slots__, (amplitude0, amplitude1, phase)) from None
+            raise _overflow(self._fields, (amplitude0, amplitude1, phase)) from None
         if a0 < 0.0 or a1 < 0.0:
             raise DomainError("spinor amplitudes must be nonnegative")
         if not abs(a0 * a0 + a1 * a1 - 1.0) <= UNIT_TOL:
@@ -313,9 +338,10 @@ class Spinor2(_Frozen):
             )
         if not math.isfinite(phase):
             raise DomainError(f"spinor phase must be finite, got {phase!r}")
-        _set(self, "amplitude0", a0)
-        _set(self, "amplitude1", a1)
-        _set(self, "phase", _wrap_phase(phase))
+        set_a0, set_a1, set_phase = self._setters
+        set_a0(self, a0)
+        set_a1(self, a1)
+        set_phase(self, _wrap_phase(phase))
 
     def as_vector(self) -> np.ndarray:
         import numpy as np
@@ -353,7 +379,7 @@ def is_quantum(p: ProbabilityTriple) -> tuple[str, float]:
 
 
 def _require_quantum(p: ProbabilityTriple, role: str = "state") -> None:
-    if not p.is_quantum:
+    if not p.radius2 - 0.25 <= BALL_TOL:  # p.is_quantum, one frame less
         raise ClassicalStateError(
             f"{role} ({p.p1}, {p.p2}, {p.p3}) lies outside the correlation "
             f"ball (radius^2 = {p.radius2} > 1/4): not a qubit state"
@@ -361,7 +387,7 @@ def _require_quantum(p: ProbabilityTriple, role: str = "state") -> None:
 
 
 def _require_pure(p: ProbabilityTriple, role: str = "state") -> None:
-    if not p.is_pure:
+    if not abs(p.radius2 - 0.25) <= BALL_TOL:  # p.is_pure, one frame less
         raise NotPureError(
             f"{role} ({p.p1}, {p.p2}, {p.p3}) is not pure: radius^2 = "
             f"{p.radius2}, expected 1/4"

@@ -45,7 +45,7 @@ from .states import (
     _overlap,
     _pure_triple,
     _require_pure,
-    _set,
+    _shown,
     coin_phase,
     density_to_prob,
 )
@@ -67,7 +67,7 @@ class SuperpositionWeights(_Frozen):
 
     def __init__(self, triple: ProbabilityTriple) -> None:
         _require_pure(triple, "weight triple")
-        _set(self, "triple", triple)
+        self._setters[0](self, triple)
 
     @classmethod
     def from_probabilities(
@@ -103,10 +103,11 @@ class SuperpositionResult(_Frozen):
         self, state: ProbabilityTriple, normalization: float, path: str,
         fallback_used: bool = False,
     ) -> None:
-        _set(self, "state", state)
-        _set(self, "normalization", normalization)
-        _set(self, "path", path)
-        _set(self, "fallback_used", fallback_used)
+        set_state, set_normalization, set_path, set_fallback_used = self._setters
+        set_state(self, state)
+        set_normalization(self, normalization)
+        set_path(self, path)
+        set_fallback_used(self, fallback_used)
 
 
 def _front(p: ProbabilityTriple, q: ProbabilityTriple, w,
@@ -394,7 +395,7 @@ def orthogonal_partner(p: ProbabilityTriple, sign: str = "+") -> ProbabilityTrip
     which branch they meant.
     """
     if sign not in ("+", "-"):
-        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+        raise DomainError(f"sign must be '+' or '-', got {_shown(sign)}")
     _require_pure(p)
     return ProbabilityTriple(1.0 - p.p1, 1.0 - p.p2, 1.0 - p.p3)
 
@@ -435,7 +436,7 @@ def unit_normalization_phase(
 def weights_for_phase(alpha: float, pi3: float = 0.5) -> SuperpositionWeights:
     """Pure weight triple with weight Pi3 and relative phase alpha."""
     if not 0.0 <= pi3 <= 1.0:
-        raise DomainError(f"Pi3 must lie in [0, 1], got {pi3!r}")
+        raise DomainError(f"Pi3 must lie in [0, 1], got {_shown(pi3)}")
     try:
         finite = math.isfinite(alpha)
     except OverflowError:  # an int too large for a float

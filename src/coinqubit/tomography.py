@@ -40,7 +40,7 @@ from .states import (
     ProbabilityTriple,
     _Frozen,
     _require_quantum,
-    _set,
+    _shown,
     prob_to_density,
 )
 
@@ -70,7 +70,7 @@ class FlipRecord(namedtuple("FlipRecord", "axis outcome trial")):
             raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
         trial = _int("trial", trial)
         if trial < 0:
-            raise ValueError(f"trial index must be nonnegative, got {trial}")
+            raise ValueError(f"trial index must be nonnegative, got {_shown(trial)}")
         return tuple.__new__(cls, (axis, outcome, trial))
 
     @classmethod
@@ -87,10 +87,11 @@ class EstimateReport(_Frozen):
         self, p_hat: ProbabilityTriple, counts: tuple[int, int, int],
         std_errors: tuple[float, float, float], seed: int | None,
     ) -> None:
-        _set(self, "p_hat", p_hat)
-        _set(self, "counts", counts)
-        _set(self, "std_errors", std_errors)
-        _set(self, "seed", seed)
+        set_p_hat, set_counts, set_std_errors, set_seed = self._setters
+        set_p_hat(self, p_hat)
+        set_counts(self, counts)
+        set_std_errors(self, std_errors)
+        set_seed(self, seed)
 
 
 _CHUNK = 1 << 16  # draws per chunk: 512 KiB of uint64, one chunk per slice
@@ -165,9 +166,10 @@ def _check_draw(p: ProbabilityTriple, n_per_axis: int, seed: int) -> list[int]:
     _require_quantum(p, "target state")
     checked = []
     for name, value, low in (("n_per_axis", n_per_axis, 1), ("seed", seed, 0)):
-        checked.append(_int(name, value))
-        if checked[-1] < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
+        value = _int(name, value)
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {_shown(value)}")
+        checked.append(value)
     return checked
 
 
