@@ -3,6 +3,7 @@
 import ast
 import copy
 import json
+import math
 import os
 import pathlib
 import pickle
@@ -11,16 +12,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinqubit import (
     CoinObservable,
     DensityMatrix2,
     DomainError,
+    FlipRecord,
     MalevichTriada,
     ProbabilityTriple,
     Spinor2,
     SuperpositionWeights,
     complex_to_coins,
+    orthogonal_partner,
     prob_to_density,
     prob_to_spinor,
     render_svg,
@@ -29,11 +34,14 @@ from coinqubit import (
     triada_sides,
     weights_for_phase,
 )
+from coinqubit.states import SPILL_TOL, _shown, _unit_interval
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 _PLUS = (1, 0.5, 0.5)
 _W = (0.5, 1, 0.5)
+HUGE = 10 ** 400  # an int too large for a float
+LONG = 10 ** 5000  # an int too long for repr (Python's 4300-digit limit)
 
 # (build one value, its repr as the frozen dataclasses printed it, its fields)
 VALUES = [
@@ -123,25 +131,154 @@ def test_equality_is_type_strict():
     assert ProbabilityTriple(0.5, 0.5, 0.5) != ProbabilityTriple(0.5, 0.5, 0.25)
 
 
-HUGE = 10 ** 400  # an int too large for a float
+class _Float(float):
+    """A float subclass: ProbabilityTriple stores its value as a float."""
 
 
-@pytest.mark.parametrize("make, error, field", [
-    (lambda: ProbabilityTriple(HUGE, 0.5, 0.5), DomainError, "p1"),
-    (lambda: DensityMatrix2(HUGE, 0, 0.5), DomainError, "rho00"),
-    (lambda: DensityMatrix2(0.5, HUGE, 0.5), DomainError, "rho01"),
-    (lambda: Spinor2(1, HUGE, 0), DomainError, "amplitude1"),
-    (lambda: Spinor2(1, 0, HUGE), DomainError, "phase"),
-    (lambda: CoinObservable(0, HUGE, 0, 0), DomainError, "y"),
-    (lambda: MalevichTriada(1, 1, HUGE), DomainError, "L3"),
-    (lambda: complex_to_coins(HUGE), DomainError, "z"),
-    (lambda: weights_for_phase(HUGE), DomainError, "alpha"),
-    (lambda: render_svg(MalevichTriada(1, 1, 1), scale=HUGE), ValueError, "scale"),
+class _NoSlots(ProbabilityTriple):
+    """A subclass declared without __slots__, as user code may write one."""
+
+
+class _EmptySlots(ProbabilityTriple):
+    __slots__ = ()
+
+
+def _bits(x: float) -> tuple:
+    """x's type and bits, and the sign of a zero."""
+    return type(x), x.hex(), math.copysign(1.0, x)
+
+
+def _outcome(make, values):
+    """The bits of what make(*values) returns, or its error's type and text."""
+    try:
+        return [_bits(x) for x in make(*values)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _triple_fields(*values):
+    p = ProbabilityTriple(*values)
+    return p.p1, p.p2, p.p3
+
+
+def _unit_fields(*values):
+    return [_unit_interval(value, name) for value, name in zip(values, ("p1", "p2", "p3"))]
+
+
+def _radius2(*values):
+    p = ProbabilityTriple(*values)
+    return p.radius2, (p.p1 - 0.5) ** 2 + (p.p2 - 0.5) ** 2 + (p.p3 - 0.5) ** 2
+
+
+_EDGES = [-0.0, 0.0, 1.0, math.nan, math.inf, -math.inf, math.nextafter(0.0, 1.0),
+          math.nextafter(-0.0, -1.0), math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+          -SPILL_TOL, 1.0 + SPILL_TOL, math.nextafter(-SPILL_TOL, -1.0),
+          math.nextafter(1.0 + SPILL_TOL, 2.0)]
+FLOATS = st.one_of(st.floats(), st.floats(-2 * SPILL_TOL, 1.0 + 2 * SPILL_TOL),
+                   st.sampled_from(_EDGES))
+FIELDS = st.one_of(FLOATS, FLOATS.map(_Float), st.booleans(), st.integers(-3, 3),
+                   st.sampled_from([HUGE, -HUGE]))
+
+
+@given(st.tuples(FIELDS, FIELDS, FIELDS))
+@settings(max_examples=1000, deadline=None)
+def test_a_triple_holds_what_the_per_field_check_returns(values):
+    """Bit for bit, or the same error: the one-comparison path for three
+    floats in [0, 1] and the per-field path for every other input."""
+    assert _outcome(_triple_fields, values) == _outcome(_unit_fields, values)
+    built = _outcome(_radius2, values)
+    if isinstance(built, list):  # no error: the stored radius2 is the formula's
+        stored, formula = built
+        assert stored == formula
+
+
+@pytest.mark.needs_numpy
+def test_a_triple_of_numpy_floats_holds_what_the_per_field_check_returns():
+    np = pytest.importorskip("numpy")
+    fields = st.one_of(FLOATS, FLOATS.map(np.float64))
+
+    @given(st.tuples(fields, fields, fields))
+    @settings(max_examples=300, deadline=None)
+    def check(values):
+        assert _outcome(_triple_fields, values) == _outcome(_unit_fields, values)
+
+    check()
+
+
+def test_radius2_is_stored_but_no_field():
+    p = ProbabilityTriple(0.3, 0.7, 0.5)
+    assert p.radius2 == (0.3 - 0.5) ** 2 + (0.7 - 0.5) ** 2 + (0.5 - 0.5) ** 2
+    for change in (lambda: setattr(p, "radius2", 0.25), lambda: delattr(p, "radius2")):
+        with pytest.raises(AttributeError, match="radius2"):
+            change()
+    assert repr(p) == "ProbabilityTriple(p1=0.3, p2=0.7, p3=0.5)"
+    assert ProbabilityTriple.__match_args__ == ("p1", "p2", "p3")
+    assert p.__reduce__() == (ProbabilityTriple, (0.3, 0.7, 0.5))
+    assert hash(p) == hash((0.3, 0.7, 0.5))
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p and _bits(twin.radius2) == _bits(p.radius2)
+    with pytest.raises(TypeError):
+        ProbabilityTriple(p1=0.3, p2=0.7, p3=0.5, radius2=0.25)
+    with pytest.raises(TypeError, match="3 positional sub-patterns"):
+        match p:
+            case ProbabilityTriple(_, _, _, _):
+                pass
+
+
+@pytest.mark.parametrize("cls", [_NoSlots, _EmptySlots], ids=["no-slots", "empty-slots"])
+def test_a_subclass_builds_compares_and_pickles(cls):
+    p = cls(1, 0.5, 0.5)
+    assert repr(p) == f"{cls.__qualname__}(p1=1.0, p2=0.5, p3=0.5)"
+    assert cls.__match_args__ == ("p1", "p2", "p3")
+    assert p == cls(1.0, 0.5, 0.5) and hash(p) == hash(cls(1.0, 0.5, 0.5))
+    assert p != cls(0.0, 0.5, 0.5) and p != ProbabilityTriple(1, 0.5, 0.5)
+    assert p.radius2 == 0.25 and p.classify() == "pure"
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert type(twin) is cls and twin == p
+    with pytest.raises(AttributeError):
+        p.p1 = 0.5
+
+
+_BIG = "overflows a float"
+_LONG = "got an int of 5001 digits"
+_NEGATIVE_LONG = "got a negative int of 5001 digits"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ProbabilityTriple(HUGE, 0.5, 0.5), DomainError, f"p1 {_BIG}"),
+    (lambda: DensityMatrix2(HUGE, 0, 0.5), DomainError, f"rho00 {_BIG}"),
+    (lambda: DensityMatrix2(0.5, HUGE, 0.5), DomainError, f"rho01 {_BIG}"),
+    (lambda: Spinor2(1, HUGE, 0), DomainError, f"amplitude1 {_BIG}"),
+    (lambda: Spinor2(1, 0, HUGE), DomainError, f"phase {_BIG}"),
+    (lambda: CoinObservable(0, HUGE, 0, 0), DomainError, f"y {_BIG}"),
+    (lambda: MalevichTriada(1, 1, HUGE), DomainError, f"L3 {_BIG}"),
+    (lambda: complex_to_coins(HUGE), DomainError, f"z {_BIG}"),
+    (lambda: weights_for_phase(HUGE), DomainError, f"alpha {_BIG}"),
+    (lambda: render_svg(MalevichTriada(1, 1, 1), scale=HUGE), ValueError, f"scale {_BIG}"),
+    (lambda: weights_for_phase(0.0, LONG), DomainError, f"Pi3 must lie in [0, 1], {_LONG}"),
+    (lambda: orthogonal_partner(ProbabilityTriple(*_PLUS), LONG), DomainError,
+     f"sign must be '+' or '-', {_LONG}"),
+    (lambda: FlipRecord("x", "up", -LONG), ValueError,
+     f"trial index must be nonnegative, {_NEGATIVE_LONG}"),
+    (lambda: run_experiment(ProbabilityTriple(*_PLUS), -LONG, 1), ValueError,
+     f"n_per_axis must be at least 1, {_NEGATIVE_LONG}"),
+    (lambda: run_experiment(ProbabilityTriple(*_PLUS), 10, -LONG), ValueError,
+     f"seed must be at least 0, {_NEGATIVE_LONG}"),
 ], ids=["triple", "rho00", "rho01", "amplitude", "phase", "observable", "triada",
-        "complex", "alpha", "scale"])
-def test_an_int_too_large_for_a_float_is_a_typed_error(make, error, field):
-    with pytest.raises(error, match=f"^{field} overflows a float$"):
+        "complex", "alpha", "scale", "pi3", "sign", "trial", "n_per_axis", "seed"])
+def test_an_int_too_large_for_a_float_is_a_typed_error(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
+
+
+@pytest.mark.parametrize("value, text", [
+    (10 ** 4300 - 1, "9" * 4300), (10 ** 4300, "an int of 4301 digits"),
+    (10 ** 4301 - 1, "an int of 4301 digits"), (10 ** 9999 - 1, "an int of 9999 digits"),
+    (-(10 ** 9999), "a negative int of 10000 digits"), (0.5, "0.5"), ("+", "'+'"),
+], ids=["4300-digits", "power-of-ten", "4301-nines", "9999-nines", "negative",
+        "float", "str"])
+def test_shown_counts_the_digits_of_an_int_too_long_for_repr(value, text):
+    assert _shown(value) == text
 
 
 # Runs each argument as a step, an expression or a statement, and prints
