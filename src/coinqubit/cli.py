@@ -9,7 +9,6 @@ error object on stderr).
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sys
 from types import SimpleNamespace
@@ -76,14 +75,10 @@ def _load_json(path: str):
         raise DomainError(f"cannot read JSON file {path!r}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _writing(path: str):
-    """A with block in which an OSError (from opening, writing or closing
-    the output file `path`) is a DomainError."""
-    try:
-        yield
-    except OSError as exc:
-        raise DomainError(f"cannot write file {path!r}: {exc}") from exc
+def _unwritable(path: str, exc: OSError) -> DomainError:
+    """The DomainError for `exc`, raised by opening, writing or closing the
+    output file `path`."""
+    return DomainError(f"cannot write file {path!r}: {exc}")
 
 
 def _write(stream, text: str) -> None:
@@ -183,8 +178,11 @@ def _render(args, p) -> str:
         raise _UsageError(str(exc)) from exc
     if not args.out:
         return svg
-    with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(svg)
+    except OSError as exc:
+        raise _unwritable(args.out, exc) from exc
     return ""
 
 
@@ -209,8 +207,10 @@ def _sample(args, p) -> dict:
     if args.n < 1:
         raise _UsageError("--n must be a positive integer")
     if args.flips:
-        with _writing(args.flips):
+        try:
             report = write_flips(p, args.n, seed, args.flips)
+        except OSError as exc:
+            raise _unwritable(args.flips, exc) from exc
     else:
         report = run_experiment(p, args.n, seed)
     rho, verdict = reconstruct(report)
@@ -382,16 +382,20 @@ def main(argv=None) -> int:
             result = str(request)
         text = result if isinstance(result, str) else _dumps(result) + "\n"
         if text:
-            with _writing("<stdout>"):
+            try:
                 _write(sys.stdout, text)
+            except OSError as exc:
+                raise _unwritable("<stdout>", exc) from exc
     except _UsageError as exc:
         code, report = 1, f"usage error: {exc}\n"
     except CoinQubitError as exc:
         error = {"code": exc.code, "message": str(exc)}
         code, report = 2, _dumps({"error": error}) + "\n"
     if report:  # a missing or failing stderr loses the report, not the exit code
-        with contextlib.suppress(OSError):
+        try:
             _write(sys.stderr, report)
+        except OSError:
+            pass
     return code
 
 

@@ -18,6 +18,7 @@ from .errors import DomainError
 from .states import SIDE_TOL, SPILL_TOL, ProbabilityTriple, _Frozen
 
 SIDE_MAX = math.sqrt(2.0)
+_SIDE_CAP = SIDE_MAX + SIDE_TOL  # the largest side a triada admits
 
 # Square color assignment L1/L2/L3 -> black/red/white is our convention;
 # only the set of three colors is fixed.
@@ -33,22 +34,31 @@ _LABEL = ('<text x="%.3f" y="%.3f" text-anchor="middle" '
           'font-family="sans-serif" font-size="10">%.5f</text>')
 
 
+def _side_length(value: float, name: str) -> float:
+    """Validate a square side: a float in [0, SIDE_MAX + SIDE_TOL]."""
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        raise DomainError(f"{name} overflows a float") from None
+    if not 0.0 <= value <= _SIDE_CAP:
+        raise DomainError(f"{name} must lie in [0, sqrt(2)], got {value!r}")
+    return value
+
+
 class MalevichTriada(_Frozen):
     """Side lengths of the black, red and white squares."""
 
     __slots__ = ("L1", "L2", "L3")
 
     def __init__(self, L1: float, L2: float, L3: float) -> None:
-        for name, setter, value in zip(self._fields, self._setters, (L1, L2, L3)):
-            try:
-                value = float(value)
-            except OverflowError:  # an int too large for a float
-                raise DomainError(f"{name} overflows a float") from None
-            if not 0.0 <= value <= SIDE_MAX + SIDE_TOL:
-                raise DomainError(
-                    f"{name} must lie in [0, sqrt(2)], got {value!r}"
-                )
-            setter(self, value)
+        # three exact floats in [0, _SIDE_CAP] pass as given; nan fails it
+        if not (float is L1.__class__ is L2.__class__ is L3.__class__
+                and 0.0 <= L1 <= _SIDE_CAP >= L2 >= 0.0 <= L3 <= _SIDE_CAP):
+            L1, L2, L3 = map(_side_length, (L1, L2, L3), self._fields)
+        set_L1, set_L2, set_L3 = self._setters
+        set_L1(self, L1)
+        set_L2(self, L2)
+        set_L3(self, L3)
 
     def sides(self) -> tuple[float, float, float]:
         return self.L1, self.L2, self.L3
@@ -88,8 +98,9 @@ def render_svg(
         raise ValueError("scale overflows a float") from None
     if not (finite and scale > 0.0):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    sides = [side * scale for side in triada.sides()]
-    gap = 0.25 * max(triada.sides()) * scale
+    lengths = triada.L1, triada.L2, triada.L3
+    sides = [side * scale for side in lengths]
+    gap = 0.25 * max(lengths) * scale
     baseline = _MARGIN + max(sides)
     content_width = sum(sides) + 2.0 * gap
     width = content_width + 2.0 * _MARGIN
@@ -100,7 +111,7 @@ def render_svg(
 
     body = []
     x = _MARGIN
-    for size, fill, side in zip(sides, _FILLS, triada.sides()):
+    for size, fill, side in zip(sides, _FILLS, lengths):
         if size > 0.0:
             stroke = ' stroke="black" stroke-width="1"' if fill == "white" else ""
             edge = "%.3f" % size

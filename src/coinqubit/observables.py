@@ -9,7 +9,6 @@ three classical means.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .states import (
@@ -19,13 +18,27 @@ from .states import (
     _fma,
     _number_field,
     _require_quantum,
-    prob_to_density,
 )
 
 # numpy is imported inside the functions that build arrays, so the
 # scalar API and the CLI start without loading it.
+TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
     import numpy as np
+
+
+_INF, _NEG_INF = math.inf, -math.inf
+
+
+def _coefficient(value: float, name: str) -> float:
+    """Validate an observable coefficient: a finite float."""
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        raise DomainError(f"{name} overflows a float") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 class CoinObservable(_Frozen):
@@ -34,14 +47,15 @@ class CoinObservable(_Frozen):
     __slots__ = ("x", "y", "z1", "z2")
 
     def __init__(self, x: float, y: float, z1: float, z2: float) -> None:
-        for name, setter, value in zip(self._fields, self._setters, (x, y, z1, z2)):
-            try:
-                value = float(value)
-            except OverflowError:  # an int too large for a float
-                raise DomainError(f"{name} overflows a float") from None
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-            setter(self, value)
+        # four exact finite floats pass as given; nan fails the comparison
+        if not (float is x.__class__ is y.__class__ is z1.__class__ is z2.__class__
+                and _NEG_INF < x < _INF > y > _NEG_INF < z1 < _INF > z2 > _NEG_INF):
+            x, y, z1, z2 = map(_coefficient, (x, y, z1, z2), self._fields)
+        set_x, set_y, set_z1, set_z2 = self._setters
+        set_x(self, x)
+        set_y(self, y)
+        set_z1(self, z1)
+        set_z2(self, z2)
 
     def matrix(self) -> np.ndarray:
         """Hermitian matrix [[z1, x - i y], [x + i y, z2]]."""
@@ -98,11 +112,12 @@ def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
     classical_sum = sum(means)
     if not math.isfinite(classical_sum):
         raise DomainError(f"mean overflows: classical sum {classical_sum}")
-    rho = prob_to_density(p)
+    # prob_to_density(p)'s entries, as it builds them
+    r01 = (p.p1 - 0.5) - 1j * (p.p2 - 0.5)
+    rho00, rho11, r10 = p.p3, 1.0 - p.p3, r01.conjugate()
     h01, h10 = obs.x - 1j * obs.y, obs.x + 1j * obs.y  # as matrix() builds them
-    r01, r10 = rho.rho01, rho.rho10
-    value = (_fma(r01.real, h10.real, _fma(-r01.imag, h10.imag, rho.rho00 * obs.z1))
-             + (0.0 + _fma(rho.rho11, obs.z2,
+    value = (_fma(r01.real, h10.real, _fma(-r01.imag, h10.imag, rho00 * obs.z1))
+             + (0.0 + _fma(rho11, obs.z2,
                            _fma(r10.real, h01.real, -(r10.imag * h01.imag)))))
     if not math.isfinite(value):
         raise DomainError(f"mean overflows: matrix trace {value}")

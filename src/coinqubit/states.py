@@ -13,12 +13,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import ClassicalStateError, DomainError, NotPureError
 
 # numpy is imported inside the functions that build arrays, so the
 # scalar API and the CLI start without loading it.
+TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -267,10 +267,7 @@ class DensityMatrix2(_Frozen):
             rho00, rho01, rho11 = float(rho00), complex(rho01), float(rho11)
         except OverflowError:
             raise _overflow(self._fields, (rho00, rho01, rho11)) from None
-        if not abs(rho00 + rho11 - 1.0) <= UNIT_TOL:
-            raise DomainError(f"trace must be 1, got {rho00 + rho11!r}")
-        if not cmath.isfinite(rho01):
-            raise DomainError(f"rho01 must be finite, got {rho01!r}")
+        _check_entries(rho00, rho01, rho11)
         set_rho00, set_rho01, set_rho11 = self._setters
         set_rho00(self, rho00)
         set_rho01(self, rho01)
@@ -351,6 +348,24 @@ class Spinor2(_Frozen):
         )
 
 
+def _check_entries(rho00: float, rho01: complex, rho11: float) -> None:
+    """DensityMatrix2's checks on its converted entries: a trace within
+    UNIT_TOL of 1 and a finite rho01."""
+    if not abs(rho00 + rho11 - 1.0) <= UNIT_TOL:
+        raise DomainError(f"trace must be 1, got {rho00 + rho11!r}")
+    if not cmath.isfinite(rho01):
+        raise DomainError(f"rho01 must be finite, got {rho01!r}")
+
+
+def _entries_to_prob(rho00: float, rho01: complex, rho11: float) -> ProbabilityTriple:
+    """density_to_prob(DensityMatrix2(rho00, rho01, rho11)) for a float rho00
+    and rho11 and a complex rho01, with no matrix built: the constructor's
+    checks, with its errors and messages, then the same triple, bit for bit.
+    The kernels that compute a state's entries return it through this."""
+    _check_entries(rho00, rho01, rho11)
+    return ProbabilityTriple(0.5 + rho01.real, 0.5 - rho01.imag, rho00)
+
+
 def prob_to_density(p: ProbabilityTriple) -> DensityMatrix2:
     """Map a coin triple to its Hermitian unit-trace matrix.
 
@@ -424,10 +439,15 @@ def _at_pole(p: ProbabilityTriple) -> bool:
 
 
 def coin_phase(p: ProbabilityTriple) -> float:
-    """Azimuthal phase of a triple, in [0, 2*pi); 0 by convention at poles."""
-    if _at_pole(p):
+    """Azimuthal phase of a triple, in [0, 2*pi); 0 by convention at poles.
+    _at_pole and _wrap_phase, written out: each kernel calls this per input."""
+    d1, d2 = p.p1 - 0.5, p.p2 - 0.5
+    if math.hypot(d1, d2) <= POLE_TOL:
         return 0.0
-    return _wrap_phase(math.atan2(p.p2 - 0.5, p.p1 - 0.5))
+    phase = math.fmod(math.atan2(d2, d1), TWO_PI)
+    if phase < 0.0:
+        phase += TWO_PI
+    return phase if phase < TWO_PI else 0.0
 
 
 def prob_to_spinor(p: ProbabilityTriple) -> Spinor2:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING
 
 from .errors import (
     DegeneratePhaseStateError,
@@ -41,17 +40,18 @@ from .states import (
     _Frozen,
     _at_pole,
     _cmul,
+    _entries_to_prob,
     _fma,
     _overlap,
     _pure_triple,
     _require_pure,
     _shown,
     coin_phase,
-    density_to_prob,
 )
 
 # numpy is imported inside the functions that build arrays, so the
 # scalar API and the CLI start without loading it.
+TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -149,7 +149,8 @@ def _oracle(
     np.multiply.outer(chi, chi.conj()) / norm2.  Only the fused roundings that
     reach an output stay; the others could move only rho11, which the trace
     check alone reads, or a zero's sign that squares and 1/2 +- rho01 drop."""
-    c1, c2 = w.c1, w.c2
+    t = w.triple  # c1 and c2 as w.c1 and w.c2 compute them
+    c1, c2 = math.sqrt(t.p3), cmath.rect(math.sqrt(1.0 - t.p3), coin_phase(t))
     (a0, a1), (b0, b1) = _ket(p), _ket(q)
     x0, x1 = c1 * a0 + c2 * b0, c1 * a1 + _cmul(c2, b1)  # a0 and b0 are real
     norm2 = (_fma(x1.real, x1.real, x0.real * x0.real)
@@ -160,12 +161,10 @@ def _oracle(
             "interference); no qubit state exists"
         )
     inv = 1.0 / norm2
-    rho = DensityMatrix2(_fma(x0.real, x0.real, x0.imag * x0.imag) * inv,
-                         _cmul(x0, x1.conjugate()) * inv,
-                         (x1.real * x1.real + x1.imag * x1.imag) * inv)
-    return SuperpositionResult(
-        state=density_to_prob(rho), normalization=norm2, path="matrix_oracle"
-    )
+    state = _entries_to_prob(_fma(x0.real, x0.real, x0.imag * x0.imag) * inv,
+                             _cmul(x0, x1.conjugate()) * inv,
+                             (x1.real * x1.real + x1.imag * x1.imag) * inv)
+    return SuperpositionResult(state, norm2, "matrix_oracle")
 
 
 def superpose_general(
@@ -218,7 +217,7 @@ def _general(p: ProbabilityTriple, q: ProbabilityTriple,
                 pass
     oracle = _oracle(p, q, w)
     return SuperpositionResult(oracle.state, oracle.normalization,
-                               "general_closed_form", fallback_used=True)
+                               "general_closed_form", True)
 
 
 def assemble_projector_sum(
@@ -240,7 +239,8 @@ def assemble_projector_sum(
     rho0 overrides that choice; the degenerate case where rho0 is orthogonal
     to an input (vanishing trace factor) is then an error.
     """
-    return _projector_sum(p, q, _front(p, q, w, "require")[0], rho0)[0].as_array()
+    entries = _projector_sum(p, q, _front(p, q, w, "require")[0], rho0)[0]
+    return DensityMatrix2(*entries).as_array()
 
 
 def _ket(p: ProbabilityTriple) -> tuple[complex, complex]:
@@ -252,45 +252,51 @@ def _ket(p: ProbabilityTriple) -> tuple[complex, complex]:
 def _projector_sum(
     p: ProbabilityTriple, q: ProbabilityTriple, w: SuperpositionWeights,
     rho0: DensityMatrix2 | None,
-) -> tuple[DensityMatrix2, float, float]:
-    """Projector-rule state, the trace it was divided by, and the trace
-    factor Tr(rho1 rho0 rho2 rho0); p and q are taken as pure and orthogonal.
+) -> tuple[tuple[float, complex, float], float, float]:
+    """Entries (rho00, rho01, rho11) of the projector-rule state, unchecked,
+    the trace they were divided by, and the trace factor
+    Tr(rho1 rho0 rho2 rho0); p and q are taken as pure and orthogonal.
 
     With rho1 = |1><1| and rho2 = |2><2|, rho1 rho0 rho2 = g|1><2| for
     g = <1|rho0|2>, and Tr(rho1 rho0 rho2 rho0) = |g|^2.
     """
     u, v = _ket(p), _ket(q)
+    lam1, lam2 = w.triple.p3, 1.0 - w.triple.p3  # w.lambda1, w.lambda2
     if rho0 is None:
         # g = <1|psi0><psi0|2> for psi0 = (|1> + e^{i*alpha}|2>)/sqrt(2),
         # with <1|1> = <2|2> = 1
-        phase = cmath.exp(1j * w.alpha)
+        phase = cmath.exp(1j * coin_phase(w.triple))
         overlap = u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
         g = (1.0 + phase * overlap) * (overlap + phase.conjugate()) / 2.0
     else:
         g = u[0].conjugate() * (rho0.rho00 * v[0] + rho0.rho01 * v[1]) + (
             u[1].conjugate() * (rho0.rho10 * v[0] + rho0.rho11 * v[1])
         )
-    trace_factor = abs(g) ** 2
+    try:
+        trace_factor = abs(g) ** 2
+    except OverflowError:  # only an explicit rho0 has entries this large
+        raise DomainError(
+            "Tr(rho1 rho0 rho2 rho0) overflows a float: rho0's entries are too large"
+        ) from None
     if trace_factor <= INTERFERENCE_TOL:
         raise DegeneratePhaseStateError(
             "Tr(rho1 rho0 rho2 rho0) vanishes: the phase-defining projector "
             "is orthogonal to one of the input states"
         )
-    k = math.sqrt(w.lambda1 * w.lambda2) / abs(g)
+    k = math.sqrt(lam1 * lam2) / abs(g)
 
     def entry(i: int, j: int) -> complex:
         """<i| lam1 rho1 + lam2 rho2 + k (g|1><2| + conj(g)|2><1|) |j>"""
         cross = g * u[i] * v[j].conjugate()
         return (
-            w.lambda1 * u[i] * u[j].conjugate()
-            + w.lambda2 * v[i] * v[j].conjugate()
+            lam1 * u[i] * u[j].conjugate()
+            + lam2 * v[i] * v[j].conjugate()
             + k * (cross + (g * u[j] * v[i].conjugate()).conjugate())
         )
 
     m00, m11 = entry(0, 0).real, entry(1, 1).real
     trace = m00 + m11
-    rho = DensityMatrix2(m00 / trace, entry(0, 1) / trace, m11 / trace)
-    return rho, trace, trace_factor
+    return (m00 / trace, entry(0, 1) / trace, m11 / trace), trace, trace_factor
 
 
 def superpose_orthogonal(
@@ -300,10 +306,8 @@ def superpose_orthogonal(
     rho0: DensityMatrix2 | None = None,
 ) -> SuperpositionResult:
     """Projector addition rule; the normalization is the sum's trace."""
-    rho, trace, _ = _projector_sum(p, q, _front(p, q, w, "require")[0], rho0)
-    return SuperpositionResult(
-        state=density_to_prob(rho), normalization=trace, path="orthogonal_rule"
-    )
+    entries, trace, _ = _projector_sum(p, q, _front(p, q, w, "require")[0], rho0)
+    return SuperpositionResult(_entries_to_prob(*entries), trace, "orthogonal_rule")
 
 
 def delta_decomposition(
@@ -325,8 +329,8 @@ def delta_decomposition(
             "delta is undefined for pure weights (lambda1 * lambda2 = 0)"
         )
     _front(p, q, w, "require")
-    rho, _, trace_factor = _projector_sum(p, q, w, rho0)
-    out = density_to_prob(rho)
+    entries, _, trace_factor = _projector_sum(p, q, w, rho0)
+    out = _entries_to_prob(*entries)
     linear = w.lambda1 * p.vec() + w.lambda2 * q.vec()
     delta = (out.vec() - linear) / math.sqrt(w.lambda1 * w.lambda2)
     return linear, delta, trace_factor ** -0.5
@@ -348,19 +352,17 @@ def superpose_spinor(
 def _spinor(p: ProbabilityTriple, q: ProbabilityTriple,
             w: SuperpositionWeights) -> SuperpositionResult:
     """superpose_spinor on inputs already checked pure and orthogonal."""
-    beta, mu, delta, pi3 = coin_phase(p), coin_phase(q), w.alpha, w.triple.p3
+    t = w.triple
+    beta, mu, delta, pi3 = coin_phase(p), coin_phase(q), coin_phase(t), t.p3
     top = math.sqrt(pi3 * p.p3) + cmath.exp(1j * delta) * math.sqrt(q.p3 * (1.0 - pi3))
     bottom = cmath.exp(1j * beta) * math.sqrt(pi3 * (1.0 - p.p3)) + cmath.exp(
         1j * (delta + mu)) * math.sqrt((1.0 - pi3) * (1.0 - q.p3))
     top2, bottom2 = abs(top) ** 2, abs(bottom) ** 2
     # orthogonal inputs keep norm2 above about 1 - sqrt(ORTHO_TOL): never zero
     norm2 = top2 + bottom2
-    rho = DensityMatrix2(
-        top2 / norm2, top * bottom.conjugate() / norm2, bottom2 / norm2
-    )
-    return SuperpositionResult(
-        state=density_to_prob(rho), normalization=norm2, path="spinor_path"
-    )
+    state = _entries_to_prob(top2 / norm2, top * bottom.conjugate() / norm2,
+                             bottom2 / norm2)
+    return SuperpositionResult(state, norm2, "spinor_path")
 
 
 def superpose_checked(
@@ -375,7 +377,7 @@ def superpose_checked(
     ref = general.state if general.fallback_used else _oracle(p, q, w).state
     outs = [general.state]
     if orthogonal:
-        outs += [density_to_prob(_projector_sum(p, q, w, None)[0]),
+        outs += [_entries_to_prob(*_projector_sum(p, q, w, None)[0]),
                  _spinor(p, q, w).state]
     agree = all(
         max(abs(s.p1 - ref.p1), abs(s.p2 - ref.p2), abs(s.p3 - ref.p3))

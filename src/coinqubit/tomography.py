@@ -32,7 +32,6 @@ import os
 import sys
 import threading
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InsufficientDataError
 from .states import (
@@ -46,7 +45,10 @@ from .states import (
 
 # numpy is imported inside the functions that build arrays, so the
 # scalar API and the CLI start without loading it.
+TYPE_CHECKING = False  # typing's constant, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     import numpy as np
 
 AXES = ("x", "y", "z")
@@ -233,7 +235,10 @@ def sample_flips(
 def estimate(
     flips: Iterable[FlipRecord], seed: int | None = None
 ) -> EstimateReport:
-    """Fold a flip stream into frequency estimates with standard errors."""
+    """Fold a flip stream into frequency estimates with standard errors.
+    The seed the report records is None or an int, checked first."""
+    if seed is not None:
+        seed = _int("seed", seed)
     ups = dict.fromkeys(AXES, 0)
     totals = dict.fromkeys(AXES, 0)
     for record in flips:
