@@ -25,16 +25,31 @@ from coinqubit import (
     Spinor2,
     SuperpositionWeights,
     complex_to_coins,
+    density_to_prob,
     orthogonal_partner,
     prob_to_density,
     prob_to_spinor,
+    quantum_mean,
     render_svg,
     run_experiment,
+    superpose_checked,
     superpose_general,
+    superpose_oracle,
+    superpose_orthogonal,
+    superpose_spinor,
     triada_sides,
     weights_for_phase,
 )
-from coinqubit.states import SPILL_TOL, _shown, _unit_interval
+from coinqubit.malevich import SIDE_MAX, _side_length
+from coinqubit.observables import _coefficient
+from coinqubit.states import (
+    SIDE_TOL,
+    SPILL_TOL,
+    UNIT_TOL,
+    _entries_to_prob,
+    _shown,
+    _unit_interval,
+)
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -205,6 +220,123 @@ def test_a_triple_of_numpy_floats_holds_what_the_per_field_check_returns():
     check()
 
 
+_SIDE_CAP = SIDE_MAX + SIDE_TOL
+_SIDE_EDGES = [-0.0, 0.0, math.nan, math.inf, -math.inf, SIDE_MAX, _SIDE_CAP,
+               math.nextafter(_SIDE_CAP, 0.0), math.nextafter(_SIDE_CAP, 2.0),
+               math.nextafter(0.0, 1.0), math.nextafter(-0.0, -1.0)]
+_FINITE_EDGES = [-0.0, 0.0, math.nan, math.inf, -math.inf, sys.float_info.max,
+                 -sys.float_info.max, math.nextafter(0.0, 1.0), -1.0, 1e308]
+_INTS = st.one_of(st.booleans(), st.integers(-3, 3), st.integers(),
+                  st.sampled_from([HUGE, -HUGE, LONG, -LONG]))
+
+
+def _holds_per_field(make, check, names, floats, fields, examples):
+    """make(*values) (a value type) holds what check(value, name) (its
+    per-field check) returns for each field, bit for bit, or raises the
+    same error, over `examples` tuples: half of them all `floats`, so that
+    one edge float among exact floats is common, and half `fields`."""
+    def built(*values):
+        value = make(*values)
+        return [getattr(value, name) for name in names]
+
+    def checked(*values):
+        return [check(value, name) for value, name in zip(values, names)]
+
+    @given(st.one_of(st.tuples(*[floats] * len(names)), st.tuples(*[fields] * len(names))))
+    @settings(max_examples=examples, deadline=None)
+    def holds(values):
+        assert _outcome(built, values) == _outcome(checked, values)
+
+    holds()
+
+
+# (value type, its per-field check, its fields, edge floats for a field)
+FAST_PATHS = [
+    (MalevichTriada, _side_length, ("L1", "L2", "L3"), _SIDE_EDGES),
+    (CoinObservable, _coefficient, ("x", "y", "z1", "z2"), _FINITE_EDGES),
+]
+
+
+@pytest.mark.parametrize("make, check, names, edges", FAST_PATHS,
+                         ids=["triada", "observable"])
+def test_a_fast_constructor_holds_what_the_per_field_check_returns(
+        make, check, names, edges):
+    """The one-comparison path for exact floats and the per-field path for
+    every other input, zero signs included."""
+    floats = st.one_of(st.floats(), st.floats(-0.5, 2.0), st.sampled_from(edges))
+    _holds_per_field(make, check, names, floats,
+                     st.one_of(floats, floats.map(_Float), _INTS), 1000)
+
+
+@pytest.mark.needs_numpy
+@pytest.mark.parametrize("make, check, names, edges", FAST_PATHS,
+                         ids=["triada", "observable"])
+def test_a_fast_constructor_of_numpy_floats_holds_what_the_per_field_check_returns(
+        make, check, names, edges):
+    np = pytest.importorskip("numpy")
+    floats = st.one_of(st.floats(), st.floats(-0.5, 2.0), st.sampled_from(edges))
+    _holds_per_field(make, check, names, floats,
+                     st.one_of(floats, floats.map(np.float64)), 300)
+
+
+def _via_matrix(rho00, rho01, rho11):
+    p = density_to_prob(DensityMatrix2(rho00, rho01, rho11))
+    return p.p1, p.p2, p.p3, p.radius2
+
+
+def _via_entries(rho00, rho01, rho11):
+    p = _entries_to_prob(rho00, rho01, rho11)
+    return p.p1, p.p2, p.p3, p.radius2
+
+
+_DIAGONAL = st.one_of(st.floats(), st.floats(-0.5, 1.5),
+                      st.sampled_from([-0.0, 0.0, 1.0, math.nan, math.inf, -math.inf]))
+_PARTS = st.one_of(st.floats(), st.floats(-0.6, 0.6),
+                   st.sampled_from([-0.0, 0.0, 0.5, -0.5, math.nan, math.inf, -math.inf,
+                                    math.nextafter(0.5, 1.0), -SPILL_TOL]))
+# offsets of rho11 from 1 - rho00: the trace check's bound and either side
+_OFFSETS = st.one_of(st.floats(-2 * UNIT_TOL, 2 * UNIT_TOL), st.sampled_from(
+    [0.0, UNIT_TOL, -UNIT_TOL, 0.5 * UNIT_TOL, -0.5 * UNIT_TOL, 1.5 * UNIT_TOL]))
+
+
+@given(_DIAGONAL, st.builds(complex, _PARTS, _PARTS),
+       st.one_of(_DIAGONAL, _OFFSETS.map(lambda offset: (offset,))))
+@settings(max_examples=1000, deadline=None)
+def test_the_entries_give_the_triple_of_their_matrix(rho00, rho01, rho11):
+    """_entries_to_prob(rho00, rho01, rho11) returns what density_to_prob
+    returns for the matrix of those entries, bit for bit, or raises the
+    matrix's error with its message: trace, rho01 and the triple's own."""
+    if isinstance(rho11, tuple):  # a trace at or next to 1
+        rho11 = 1.0 - rho00 + rho11[0]
+    values = (rho00, rho01, rho11)
+    assert _outcome(_via_entries, values) == _outcome(_via_matrix, values)
+
+
+def test_the_kernels_build_no_matrix(monkeypatch):
+    """The superposition paths and quantum_mean compute a state's entries
+    and build no DensityMatrix2 for them."""
+    built = []
+    init = DensityMatrix2.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DensityMatrix2, "__init__", counting)
+    plus, minus = ProbabilityTriple(*_PLUS), ProbabilityTriple(0, 0.5, 0.5)
+    up, w = ProbabilityTriple(0.5, 0.5, 1), SuperpositionWeights(ProbabilityTriple(*_W))
+    low = ProbabilityTriple(0.5009999995, 0.5, 1e-6)  # general hands over to the oracle
+    obs = CoinObservable(1, 2, 3, -1)
+    results = [f(plus, minus, w) for f in (superpose_oracle, superpose_orthogonal,
+                                           superpose_spinor, superpose_checked)]
+    results += [superpose_checked(plus, up, w), superpose_checked(low, up, w),
+                quantum_mean(obs, ProbabilityTriple(0.6, 0.7, 0.8))]
+    assert results[3][1] and results[4][1] and results[5][0].fallback_used
+    assert built == []
+    prob_to_density(plus)  # the count sees a matrix where one is built
+    assert built == [(0.5, 0.5 + 0j, 0.5)]
+
+
 def test_radius2_is_stored_but_no_field():
     p = ProbabilityTriple(0.3, 0.7, 0.5)
     assert p.radius2 == (0.3 - 0.5) ** 2 + (0.7 - 0.5) ** 2 + (0.5 - 0.5) ** 2
@@ -283,18 +415,24 @@ def test_shown_counts_the_digits_of_an_int_too_long_for_repr(value, text):
 
 # Runs each argument as a step, an expression or a statement, and prints
 # one line per step: the repr of (its value, the watched modules it newly
-# imported, the live thread count).
+# imported, the live thread count).  Under -S, where site imports nothing,
+# typing and contextlib are watched too; the probe itself imports neither.
 PROBE = """
-import contextlib, io, sys, threading
+import io, sys, threading
 
 WATCHED = {"numpy", "argparse", "json", "gettext", "locale", "dataclasses",
            "concurrent.futures", "logging"}
+if sys.flags.no_site:
+    WATCHED |= {"typing", "contextlib"}
 
 def cli(line):  # main's exit code and stdout for the argv line.split()
     from coinqubit.cli import main
-    with contextlib.redirect_stdout(io.StringIO()) as out:
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
         code = main(line.split())
-    return code, out.getvalue()
+        return code, sys.stdout.getvalue()
+    finally:
+        sys.stdout = stdout
 
 def raised(thunk):
     try:
@@ -322,7 +460,9 @@ FALLBACK = "'\"fallback_used\": true' in "
 # (step run in the child, its value, the watched modules it newly loads):
 # check, the other scalar subcommands, superpose (the hand-over pair
 # included), mean, the kernels and sample up to _PLAIN_MAX flips per axis
-# load no numpy; help, built from the command table, loads nothing watched
+# load no numpy, typing or contextlib; help, built from the command table,
+# loads nothing watched.  These steps run under -S: a site that imports
+# typing or contextlib (as certifi's .pth file does) would hide them
 PLAIN_STEPS = [
     ("import coinqubit", None, []),
     ("set(coinqubit.__all__) <= set(dir(coinqubit))", True, []),
@@ -374,17 +514,17 @@ FLIPS_STEPS = [
 ]
 
 
-@pytest.mark.parametrize("steps", [
-    pytest.param(PLAIN_STEPS, id="plain"),
-    pytest.param(ARRAY_STEPS, id="arrays", marks=pytest.mark.needs_numpy),
-    pytest.param(FLIPS_STEPS, id="flips", marks=pytest.mark.needs_numpy),
+@pytest.mark.parametrize("flags, steps", [
+    pytest.param(["-S"], PLAIN_STEPS, id="plain"),
+    pytest.param([], ARRAY_STEPS, id="arrays", marks=pytest.mark.needs_numpy),
+    pytest.param([], FLIPS_STEPS, id="flips", marks=pytest.mark.needs_numpy),
 ])
-def test_each_step_loads_only_its_modules(tmp_path, steps):
+def test_each_step_loads_only_its_modules(tmp_path, flags, steps):
     """A fresh interpreter runs the steps in order; after each it reports
     the step's value, the watched modules the step newly imported and the
     live thread count."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *(step for step, _, _ in steps)],
+        [sys.executable, *flags, "-c", PROBE, *(step for step, _, _ in steps)],
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), cwd=tmp_path,
         capture_output=True, encoding="utf-8", timeout=60,
     )

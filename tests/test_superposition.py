@@ -390,6 +390,15 @@ class TestOrthogonalRule:
         with pytest.raises(DegeneratePhaseStateError):
             superpose_orthogonal(UP, DOWN, EQUAL_WEIGHTS, rho0=rho0)
 
+    @pytest.mark.parametrize("path", [superpose_orthogonal, assemble_projector_sum,
+                                      delta_decomposition])
+    def test_a_rho0_too_large_for_the_trace_factor(self, path):
+        """|<1|rho0|2>|^2 past the float range is a DomainError, not the
+        OverflowError of its square; a unit-trace rho0 need not be a state."""
+        rho0 = DensityMatrix2(0.5, 1e200 + 1e200j, 0.5)
+        with pytest.raises(DomainError, match="^Tr\\(rho1 rho0 rho2 rho0\\) overflows"):
+            path(UP, DOWN, EQUAL_WEIGHTS, rho0)
+
 
 class TestDeltaDecomposition:
     def test_fixture(self):

@@ -565,6 +565,18 @@ class TestEstimate:
         with pytest.raises(InsufficientDataError):
             estimate([FlipRecord("x", "up", 0)])
 
+    @pytest.mark.parametrize("seed", [math.nan, 0.5, "7", True])
+    def test_the_seed_is_none_or_an_int(self, seed):
+        """A seed that is no int is a TypeError before any flip is read
+        (estimate once stored a nan seed in its report)."""
+        def flips():
+            pytest.fail("a flip was read")
+            yield
+
+        with pytest.raises(TypeError, match="^seed must be an int, got "):
+            estimate(flips(), seed)
+        assert estimate([FlipRecord(a, "up", 0) for a in "xyz"], seed=7).seed == 7
+
     def test_matches_run_experiment(self):
         p = ProbabilityTriple(0.6, 0.5, 0.7)
         report = estimate(sample_flips(p, 500, 9), seed=9)
