@@ -20,7 +20,8 @@ before numpy is loaded, it draws up to ``_PLAIN_MAX`` flips per axis from a
 plain-Python copy of the same streams, bit for bit.  ``sample_flips``,
 ``sample_outcomes`` and ``write_flips`` stay serial and on numpy;
 ``sample_flips`` builds each chunk's records in C, ``map`` calling
-``tuple.__new__`` on zipped rows, with no Python frame per flip.
+``tuple.__new__`` on zipped rows, and ``estimate`` counts each run of one
+axis in C, so neither runs a Python frame per flip.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import operator
 import os
 import sys
 import threading
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import InsufficientDataError
 from .states import (
@@ -55,6 +56,16 @@ AXES = ("x", "y", "z")
 OUTCOMES = ("up", "down")
 
 
+_AXIS_OF = operator.attrgetter("axis")
+_OUTCOME_OF = operator.attrgetter("outcome")
+
+
+def _check_field(name: str, value, allowed: tuple[str, ...]) -> None:
+    """A ValueError naming the field `name` unless `value` is in `allowed`."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+
+
 class FlipRecord(namedtuple("FlipRecord", "axis outcome trial")):
     """One coin flip: which axis, which face, which trial.
 
@@ -66,10 +77,8 @@ class FlipRecord(namedtuple("FlipRecord", "axis outcome trial")):
     __slots__ = ()
 
     def __new__(cls, axis: str, outcome: str, trial: int) -> FlipRecord:
-        if axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-        if outcome not in OUTCOMES:
-            raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
+        _check_field("axis", axis, AXES)
+        _check_field("outcome", outcome, OUTCOMES)
         trial = _int("trial", trial)
         if trial < 0:
             raise ValueError(f"trial index must be nonnegative, got {_shown(trial)}")
@@ -236,15 +245,24 @@ def estimate(
     flips: Iterable[FlipRecord], seed: int | None = None
 ) -> EstimateReport:
     """Fold a flip stream into frequency estimates with standard errors.
-    The seed the report records is None or an int, checked first."""
+    The seed the report records is None or an int, checked first.  Records
+    are read lazily, by attribute, and folded one run of equal axes at a
+    time: ``groupby`` splits the runs and a ``Counter`` of the outcomes
+    counts each in C, with no Python frame per record; records in any
+    order give the same report, in shorter runs.  Each run's axis and
+    outcomes are checked as ``FlipRecord``'s constructor checks them, with
+    the same ValueError."""
     if seed is not None:
         seed = _int("seed", seed)
     ups = dict.fromkeys(AXES, 0)
     totals = dict.fromkeys(AXES, 0)
-    for record in flips:
-        totals[record.axis] += 1
-        if record.outcome == "up":
-            ups[record.axis] += 1
+    for axis, run in itertools.groupby(flips, _AXIS_OF):
+        _check_field("axis", axis, AXES)
+        faces = Counter(map(_OUTCOME_OF, run))
+        for outcome in faces:
+            _check_field("outcome", outcome, OUTCOMES)
+        totals[axis] += faces.total()
+        ups[axis] += faces["up"]
     return _fold(ups.values(), totals.values(), seed)
 
 
@@ -258,14 +276,15 @@ def _csv_rows(axis: str, start: int, up: np.ndarray) -> str:
     cells = np.empty((len(up), width + 9), np.uint8)
     t = np.arange(start, start + len(up))
     for k in range(width - 1, -1, -1):
-        t, digit = np.divmod(t, 10)
-        cells[:, k] = digit + 48
+        q = t // 10
+        cells[:, k] = t - q * 10 + 48
+        t = q
     for j in range(len(str(start)), width):  # trials below 10**j: one digit short
         cells[: 10**j - start, width - 1 - j] = 0
     cells[:, width] = ord(",")
     tails = np.frombuffer(f"{axis},down\r\n{axis},up\r\n\0\0".encode(), np.uint64)
     cells[:, width + 1:].view(np.uint64)[:, 0] = tails[up.view(np.uint8)]
-    return cells[cells != 0].tobytes().decode("ascii")
+    return cells.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def write_flips(

@@ -18,7 +18,6 @@ np = pytest.importorskip("numpy")
 from coinqubit import (
     ClassicalStateError,
     FlipRecord,
-    InsufficientDataError,
     ProbabilityTriple,
     estimate,
     reconstruct,
@@ -536,61 +535,6 @@ class TestRecordStream:
         assert drawn == []
         assert next(flips) == first and drawn == [(0, 0)]
         assert next(flips).trial == 1 and drawn == [(0, 0)]
-
-
-class TestEstimate:
-    def test_forced_frequencies(self):
-        flips = [
-            FlipRecord(axis, "up", trial)
-            for axis, trial in itertools.product("xyz", range(4))
-        ]
-        report = estimate(flips)
-        assert report.p_hat == ProbabilityTriple(1, 1, 1)
-        assert report.p_hat.classify() == "classical"
-
-    def test_half_split(self):
-        flips = [
-            FlipRecord(axis, outcome, trial)
-            for axis in "xyz"
-            for trial, outcome in enumerate(["up", "down"] * 5)
-        ]
-        report = estimate(flips)
-        assert report.p_hat == ProbabilityTriple(0.5, 0.5, 0.5)
-        rho, verdict = reconstruct(report)
-        assert verdict == "mixed"
-        assert rho.rho00 == pytest.approx(0.5)
-        assert rho.rho01 == 0.0
-
-    def test_missing_axis(self):
-        with pytest.raises(InsufficientDataError):
-            estimate([FlipRecord("x", "up", 0)])
-
-    @pytest.mark.parametrize("seed", [math.nan, 0.5, "7", True])
-    def test_the_seed_is_none_or_an_int(self, seed):
-        """A seed that is no int is a TypeError before any flip is read
-        (estimate once stored a nan seed in its report)."""
-        def flips():
-            pytest.fail("a flip was read")
-            yield
-
-        with pytest.raises(TypeError, match="^seed must be an int, got "):
-            estimate(flips(), seed)
-        assert estimate([FlipRecord(a, "up", 0) for a in "xyz"], seed=7).seed == 7
-
-    def test_matches_run_experiment(self):
-        p = ProbabilityTriple(0.6, 0.5, 0.7)
-        report = estimate(sample_flips(p, 500, 9), seed=9)
-        assert report == run_experiment(p, 500, 9)
-
-    def test_matches_run_experiment_across_a_chunk_boundary(self):
-        n = _CHUNK + 1
-        report = estimate(sample_flips(PURE_TARGET, n, 9), seed=9)
-        assert report == run_experiment(PURE_TARGET, n, 9)
-
-    def test_std_errors(self):
-        report = run_experiment(ProbabilityTriple(0.6, 0.5, 0.7), 400, 5)
-        for value, err in zip(report.p_hat.vec(), report.std_errors):
-            assert err == pytest.approx(math.sqrt(value * (1 - value) / 400))
 
 
 class TestReconstruction:
