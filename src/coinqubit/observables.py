@@ -11,14 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .states import (
-    MEAN_IDENTITY_TOL,
-    ProbabilityTriple,
-    _Frozen,
-    _fma,
-    _number_field,
-    _require_quantum,
-)
+from .states import ProbabilityTriple, _Frozen, _number_field, _require_quantum
 
 # numpy is imported inside the functions that build arrays, so the
 # scalar API and the CLI start without loading it.
@@ -96,38 +89,24 @@ def second_moments(
 
 
 def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:
-    """Tr(rho H), computed by explicit matrix trace.
+    """Tr(rho H), as the correctly rounded sum of the three classical means.
 
-    Plain floats give np.trace(rho @ H)'s bits: zgemm's fused steps on the
-    zero imaginary parts of rho00, z1, rho11 and z2 are exact, so each entry
-    keeps two; 0.0 + d11 turns -0.0 into +0.0, as np.trace's sum does.
-    The value always equals the sum of the three classical means; the
-    identity is checked here so a drift between the two routes cannot go
-    unnoticed.  Finite coefficients near the float maximum can overflow
-    either route; that is a DomainError, since no finite mean can be
-    returned.
+    The paper's identity Tr(rho H) = sum of the classical means holds
+    exactly, since the off-diagonal products of rho and H are conjugates.
+    Finite coefficients near the float maximum can overflow the sum; that
+    is a DomainError, since no finite mean can be returned.
     """
     _require_quantum(p)
     means = classical_means(obs, p)
-    classical_sum = sum(means)
-    if not math.isfinite(classical_sum):
-        raise DomainError(f"mean overflows: classical sum {classical_sum}")
-    # prob_to_density(p)'s entries, as it builds them
-    r01 = (p.p1 - 0.5) - 1j * (p.p2 - 0.5)
-    rho00, rho11, r10 = p.p3, 1.0 - p.p3, r01.conjugate()
-    h01, h10 = obs.x - 1j * obs.y, obs.x + 1j * obs.y  # as matrix() builds them
-    value = (_fma(r01.real, h10.real, _fma(-r01.imag, h10.imag, rho00 * obs.z1))
-             + (0.0 + _fma(rho11, obs.z2,
-                           _fma(r10.real, h01.real, -(r10.imag * h01.imag)))))
-    if not math.isfinite(value):
-        raise DomainError(f"mean overflows: matrix trace {value}")
-    gap = abs(value - classical_sum)
-    # rounding error scales with the terms, which can cancel in the result
-    # and in the z mean; their magnitudes bound |value| and every |mean|
-    scale = (abs(means[0]) + abs(means[1])
-             + abs(obs.z1 * p.p3) + abs(obs.z2 * (1.0 - p.p3)))
-    if not gap < MEAN_IDENTITY_TOL * (1.0 + scale):
-        raise ArithmeticError(
-            f"matrix trace {value} and classical sum {classical_sum} disagree"
-        )
+    try:
+        value = math.fsum(means)
+    except OverflowError:  # a partial sum past the float maximum
+        from fractions import Fraction
+
+        try:
+            value = float(sum(map(Fraction, means)))
+        except OverflowError:  # the sum itself
+            value = math.inf
+    if not math.isfinite(value):  # or the z mean overflowed on its own
+        raise DomainError(f"mean overflows: classical means {means}")
     return value

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 from .errors import ClassicalStateError, DomainError, NotPureError
 
@@ -26,7 +25,7 @@ if TYPE_CHECKING:
 # it guards.  Classification and orthogonality are physical statements and
 # use looser bounds than floating-point bookkeeping.
 BALL_TOL = 1e-9  # |radius^2 - 1/4| of a triple on the ball surface (pure)
-ORTHO_TOL = 1e-9  # Tr(rho1 rho2) below which two states count as orthogonal
+ORTHO_TOL = 1e-9  # |<psi1|psi2>| below which two pure states count as orthogonal
 PATH_AGREE_TOL = 1e-9  # coin gap of a superposition path from the oracle
 SIDE_TOL = 1e-9  # spill of a triada side above sqrt(2)
 HERMITIAN_TOL = 1e-10  # anti-Hermitian part of a matrix read as Hermitian
@@ -36,51 +35,9 @@ POLE_TOL = 1e-12  # hypot(p1 - 1/2, p2 - 1/2) at or below which the phase is 0
 DIVISOR_TOL = 1e-12  # sin(phi2-phi1), divisor of unit_normalization_phase
 HANDOVER_TOL = 1e-6  # p3, q3 or N*sqrt(min(p3, q3)) up to which the oracle is used
 ANNIHILATION_TOL = 1e-12  # squared norm of a superposed vector that is zero (oracle)
-MEAN_IDENTITY_TOL = 1e-12  # Tr(rho H) minus the classical sum, relative to its terms
 INTERFERENCE_TOL = 1e-14  # lam1*lam2 and Tr(rho1 rho0 rho2 rho0), as zero
 
 TWO_PI = 2.0 * math.pi
-
-# Exactness range of |a*b| on _fma's fast path, not a tolerance: the partial
-# products of Veltkamp's split (by 2**27 + 1) are multiples of ulp(a) * ulp(b)
-# >= |a*b| * 2**-106 and fit a double for |a*b| in (min * 2**54, max / 2**64);
-# 2**110 and 2**960 leave room.  A split or sum that overflows anyway gives
-# nan or OverflowError, and the exact path takes over.
-_SPLIT = 2.0 ** 27 + 1.0
-_FMA_LO = sys.float_info.min * 2.0 ** 110
-_FMA_HI = 2.0 ** (sys.float_info.max_exp - 64)
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a*b + c rounded once, as a fused multiply-add rounds it."""
-    p = a * b
-    if _FMA_LO < abs(p) < _FMA_HI:
-        ta, tb = _SPLIT * a, _SPLIT * b
-        a1, b1 = ta - (ta - a), tb - (tb - b)
-        a2, b2 = a - a1, b - b1  # four exact products that sum to a*b
-        try:
-            s = math.fsum((a1 * b1, a1 * b2, a2 * b1, a2 * b2, c))
-        except OverflowError:
-            s = math.nan
-        if s == s:  # else an overflow or a nan c
-            return s
-    if not (a and b and math.isfinite(a) and math.isfinite(b)):
-        return p + c  # p is exact: a zero, an infinite or a nan factor
-    if not math.isfinite(c):
-        return c
-    (na, da), (nb, db), (nc, dc) = (
-        a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio())
-    num = na * nb * dc + nc * da * db
-    try:  # rounds once; an exact cancellation gives +0.0, as in IEEE
-        return num / (da * db * dc)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-def _cmul(x: complex, y: complex) -> complex:
-    """x*y as numpy's complex128 multiply rounds it, each part fused."""
-    return complex(_fma(x.real, y.real, -(x.imag * y.imag)),
-                   _fma(x.real, y.imag, x.imag * y.real))
 
 
 def _unit_interval(value: float, name: str) -> float:
@@ -217,7 +174,8 @@ class ProbabilityTriple(_Frozen):
         set_p1(self, p1)
         set_p2(self, p2)
         set_p3(self, p3)
-        set_radius2(self, (p1 - 0.5) ** 2 + (p2 - 0.5) ** 2 + (p3 - 0.5) ** 2)
+        d1, d2, d3 = p1 - 0.5, p2 - 0.5, p3 - 0.5
+        set_radius2(self, d1 * d1 + d2 * d2 + d3 * d3)
 
     def vec(self) -> np.ndarray:
         import numpy as np
@@ -422,11 +380,6 @@ def fidelity(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
     [-2*BALL_TOL, 1 + 2*BALL_TOL]: not clamped, as purity is not."""
     _require_quantum(p, "first state")
     _require_quantum(q, "second state")
-    return _overlap(p, q)
-
-
-def _overlap(p: ProbabilityTriple, q: ProbabilityTriple) -> float:
-    """fidelity(p, q) without its checks."""
     dot = p.p1 * q.p1 + p.p2 * q.p2 + p.p3 * q.p3
     return (
         2.0 + 2.0 * dot - p.p1 - p.p2 - p.p3 - q.p1 - q.p2 - q.p3
@@ -439,15 +392,10 @@ def _at_pole(p: ProbabilityTriple) -> bool:
 
 
 def coin_phase(p: ProbabilityTriple) -> float:
-    """Azimuthal phase of a triple, in [0, 2*pi); 0 by convention at poles.
-    _at_pole and _wrap_phase, written out: each kernel calls this per input."""
-    d1, d2 = p.p1 - 0.5, p.p2 - 0.5
-    if math.hypot(d1, d2) <= POLE_TOL:
+    """Azimuthal phase of a triple, in [0, 2*pi); 0 by convention at poles."""
+    if _at_pole(p):
         return 0.0
-    phase = math.fmod(math.atan2(d2, d1), TWO_PI)
-    if phase < 0.0:
-        phase += TWO_PI
-    return phase if phase < TWO_PI else 0.0
+    return _wrap_phase(math.atan2(p.p2 - 0.5, p.p1 - 0.5))
 
 
 def prob_to_spinor(p: ProbabilityTriple) -> Spinor2:

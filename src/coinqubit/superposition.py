@@ -15,11 +15,14 @@ Four computation paths produce the coin triple of c1|psi1> + c2|psi2>:
 The weight/phase triple (Pi1, Pi2, Pi3) encodes c1 = sqrt(Pi3) and
 c2 = sqrt(1 - Pi3) * exp(i*alpha), with alpha read off the triple the same
 way a state phase is.
+
+Every path reads its three inputs in one canonical form (see ``_canonical``)
+and runs in plain IEEE double arithmetic: products, sums, quotients, square
+roots and ``math.hypot``, with no trigonometry.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from .errors import (
@@ -35,14 +38,12 @@ from .states import (
     INTERFERENCE_TOL,
     ORTHO_TOL,
     PATH_AGREE_TOL,
+    POLE_TOL,
     DensityMatrix2,
     ProbabilityTriple,
     _Frozen,
     _at_pole,
-    _cmul,
     _entries_to_prob,
-    _fma,
-    _overlap,
     _pure_triple,
     _require_pure,
     _shown,
@@ -93,7 +94,7 @@ class SuperpositionWeights(_Frozen):
 
     @property
     def c2(self) -> complex:
-        return cmath.rect(math.sqrt(self.lambda2), self.alpha)
+        return math.sqrt(self.lambda2) * _canonical(self.triple)[3]
 
 
 class SuperpositionResult(_Frozen):
@@ -110,24 +111,52 @@ class SuperpositionResult(_Frozen):
         set_fallback_used(self, fallback_used)
 
 
+# A pure triple in canonical form: (p3, d1, d2, u), see _canonical.
+Canonical = tuple[float, float, float, complex]
+
+
+def _canonical(p: ProbabilityTriple) -> Canonical:
+    """(p3, d1, d2, u) for a pure triple p, unchecked.  (d1, d2) is
+    (p1 - 1/2, p2 - 1/2) rescaled to the radius sqrt(p3 (1 - p3)) of the
+    sphere, and u = (d1 + i d2) / that radius is its unit vector: e^{i*phase}
+    for p's coin_phase, and 1 at a pole, as POLE_TOL decides.  BALL_TOL lets
+    a pure triple stray off the sphere; read this way, every path sees the
+    same pure state."""
+    p3, e1, e2 = p.p3, p.p1 - 0.5, p.p2 - 0.5
+    h = math.hypot(e1, e2)
+    u = complex(e1 / h, e2 / h) if h > POLE_TOL else 1.0 + 0.0j
+    r = math.sqrt(p3 * (1.0 - p3))
+    return p3, r * u.real, r * u.imag, u
+
+
+def _ket(p: Canonical) -> tuple[float, complex]:
+    """Components (sqrt(p3), sqrt(1 - p3) u) of the spinor of p."""
+    return math.sqrt(p[0]), math.sqrt(1.0 - p[0]) * p[3]
+
+
 def _front(p: ProbabilityTriple, q: ProbabilityTriple, w,
-           orthogonality: str = "") -> tuple[SuperpositionWeights, bool]:
-    """Each input's one check, in this order: w as weights, p pure, q pure.
-    orthogonality "test" adds the package's one orthogonality test and returns
-    its verdict (False where untested); "require" raises where it fails."""
+           orthogonality: str = "") -> tuple[Canonical, Canonical, Canonical, bool]:
+    """Each input's one check, in this order: w as weights, p pure, q pure;
+    then p, q and w's triple in canonical form, for the unchecked cores.
+    orthogonality "test" adds the package's one orthogonality test, on
+    |<p|q>|, and returns its verdict (False where untested); "require"
+    raises where it fails."""
     w = w if isinstance(w, SuperpositionWeights) else SuperpositionWeights(w)
     _require_pure(p, "first state")
     _require_pure(q, "second state")
-    if not orthogonality:
-        return w, False
-    overlap = _overlap(p, q)
-    orthogonal = overlap < ORTHO_TOL
-    if not orthogonal and orthogonality == "require":
-        raise NotOrthogonalError(
-            f"input states must be orthogonal (<psi1|psi2> = 0); their "
-            f"overlap Tr(rho1 rho2) is {overlap}"
-        )
-    return w, orthogonal
+    p, q = _canonical(p), _canonical(q)
+    orthogonal = False
+    if orthogonality:
+        (a0, a1), (b0, b1) = _ket(p), _ket(q)
+        amplitude = a0 * b0 + a1.conjugate() * b1  # <p|q>
+        overlap = math.hypot(amplitude.real, amplitude.imag)
+        orthogonal = overlap < ORTHO_TOL
+        if not orthogonal and orthogonality == "require":
+            raise NotOrthogonalError(
+                f"input states must be orthogonal (<psi1|psi2> = 0); their "
+                f"overlap |<psi1|psi2>| is {overlap}"
+            )
+    return p, q, _canonical(w.triple), orthogonal
 
 
 def superpose_oracle(
@@ -138,32 +167,25 @@ def superpose_oracle(
     This is the ground-truth path every probability-space formula is
     compared against.
     """
-    return _oracle(p, q, _front(p, q, w)[0])
+    return _oracle(*_front(p, q, w)[:3])
 
 
-def _oracle(
-    p: ProbabilityTriple, q: ProbabilityTriple, w: SuperpositionWeights
-) -> SuperpositionResult:
-    """superpose_oracle on checked inputs, in plain floats that print numpy's
-    bits for chi = c1*ket(p) + c2*ket(q), np.vdot(chi, chi) and
-    np.multiply.outer(chi, chi.conj()) / norm2.  Only the fused roundings that
-    reach an output stay; the others could move only rho11, which the trace
-    check alone reads, or a zero's sign that squares and 1/2 +- rho01 drop."""
-    t = w.triple  # c1 and c2 as w.c1 and w.c2 compute them
-    c1, c2 = math.sqrt(t.p3), cmath.rect(math.sqrt(1.0 - t.p3), coin_phase(t))
+def _oracle(p: Canonical, q: Canonical, w: Canonical) -> SuperpositionResult:
+    """superpose_oracle on canonical inputs: chi = c1 ket(p) + c2 ket(q),
+    norm2 = <chi|chi> and rho = |chi><chi| / norm2."""
+    c1, c2 = _ket(w)  # c2 = sqrt(1 - Pi3) e^{i*alpha}
     (a0, a1), (b0, b1) = _ket(p), _ket(q)
-    x0, x1 = c1 * a0 + c2 * b0, c1 * a1 + _cmul(c2, b1)  # a0 and b0 are real
-    norm2 = (_fma(x1.real, x1.real, x0.real * x0.real)
-             + _fma(x1.imag, x1.imag, x0.imag * x0.imag))
+    x0, x1 = c1 * a0 + c2 * b0, c1 * a1 + c2 * b1
+    n0 = x0.real * x0.real + x0.imag * x0.imag
+    n1 = x1.real * x1.real + x1.imag * x1.imag
+    norm2 = n0 + n1
     if norm2 <= ANNIHILATION_TOL:
         raise DegenerateSuperpositionError(
             "the superposed vector has zero norm (exact destructive "
             "interference); no qubit state exists"
         )
     inv = 1.0 / norm2
-    state = _entries_to_prob(_fma(x0.real, x0.real, x0.imag * x0.imag) * inv,
-                             _cmul(x0, x1.conjugate()) * inv,
-                             (x1.real * x1.real + x1.imag * x1.imag) * inv)
+    state = _entries_to_prob(n0 * inv, x0 * x1.conjugate() * inv, n1 * inv)
     return SuperpositionResult(state, norm2, "matrix_oracle")
 
 
@@ -178,26 +200,22 @@ def superpose_general(
     puts a coin out of [0, 1], the oracle takes over (it alone decides
     annihilation) and the result is flagged with ``fallback_used``.
     """
-    return _general(p, q, _front(p, q, w)[0])
+    return _general(*_front(p, q, w)[:3])
 
 
-def _general(p: ProbabilityTriple, q: ProbabilityTriple,
-             w: SuperpositionWeights) -> SuperpositionResult:
-    """superpose_general on checked inputs."""
-    if p.p3 > HANDOVER_TOL and q.p3 > HANDOVER_TOL:
-        dp1, dp2 = p.p1 - 0.5, p.p2 - 0.5
-        dq1, dq2 = q.p1 - 0.5, q.p2 - 0.5
-        dw1, dw2 = w.triple.p1 - 0.5, w.triple.p2 - 0.5
-        pi3 = w.triple.p3
-        root_pq = math.sqrt(p.p3 * q.p3)
+def _general(p: Canonical, q: Canonical, w: Canonical) -> SuperpositionResult:
+    """superpose_general on canonical inputs."""
+    (p3, dp1, dp2, _), (q3, dq1, dq2, _), (pi3, dw1, dw2, _) = p, q, w
+    if p3 > HANDOVER_TOL and q3 > HANDOVER_TOL:
+        root_pq = math.sqrt(p3 * q3)
         norm = 1.0 + (2.0 / root_pq) * (
-            dw1 * (dp1 * dq1 + dq2 * dp2 + p.p3 * q.p3)
+            dw1 * (dp1 * dq1 + dq2 * dp2 + p3 * q3)
             + dw2 * (dp2 * dq1 - dp1 * dq2)
         )
-        if norm * math.sqrt(min(p.p3, q.p3)) > HANDOVER_TOL:
-            root_qp = math.sqrt(q.p3 / p.p3)
-            root_pq_ratio = math.sqrt(p.p3 / q.p3)
-            out3 = (pi3 * p.p3 + (1.0 - pi3) * q.p3 + 2.0 * root_pq * dw1) / norm
+        if norm * math.sqrt(min(p3, q3)) > HANDOVER_TOL:
+            root_qp = math.sqrt(q3 / p3)
+            root_pq_ratio = math.sqrt(p3 / q3)
+            out3 = (pi3 * p3 + (1.0 - pi3) * q3 + 2.0 * root_pq * dw1) / norm
             out1 = 0.5 + (
                 pi3 * dp1
                 + dq1 * (1.0 - pi3)
@@ -239,19 +257,12 @@ def assemble_projector_sum(
     rho0 overrides that choice; the degenerate case where rho0 is orthogonal
     to an input (vanishing trace factor) is then an error.
     """
-    entries = _projector_sum(p, q, _front(p, q, w, "require")[0], rho0)[0]
+    entries = _projector_sum(*_front(p, q, w, "require")[:3], rho0)[0]
     return DensityMatrix2(*entries).as_array()
 
 
-def _ket(p: ProbabilityTriple) -> tuple[complex, complex]:
-    """Components (a0, a1*e^{i*phase}) of prob_to_spinor(p), unchecked."""
-    a1 = math.sqrt(1.0 - p.p3)
-    return complex(math.sqrt(p.p3)), a1 * cmath.exp(1j * coin_phase(p))
-
-
 def _projector_sum(
-    p: ProbabilityTriple, q: ProbabilityTriple, w: SuperpositionWeights,
-    rho0: DensityMatrix2 | None,
+    p: Canonical, q: Canonical, w: Canonical, rho0: DensityMatrix2 | None,
 ) -> tuple[tuple[float, complex, float], float, float]:
     """Entries (rho00, rho01, rho11) of the projector-rule state, unchecked,
     the trace they were divided by, and the trace factor
@@ -261,29 +272,27 @@ def _projector_sum(
     g = <1|rho0|2>, and Tr(rho1 rho0 rho2 rho0) = |g|^2.
     """
     u, v = _ket(p), _ket(q)
-    lam1, lam2 = w.triple.p3, 1.0 - w.triple.p3  # w.lambda1, w.lambda2
+    lam1, lam2 = w[0], 1.0 - w[0]  # w.lambda1, w.lambda2
     if rho0 is None:
         # g = <1|psi0><psi0|2> for psi0 = (|1> + e^{i*alpha}|2>)/sqrt(2),
-        # with <1|1> = <2|2> = 1
-        phase = cmath.exp(1j * coin_phase(w.triple))
-        overlap = u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
+        # with <1|1> = <2|2> = 1 and e^{i*alpha} = w's unit vector
+        phase, overlap = w[3], u[0] * v[0] + u[1].conjugate() * v[1]
         g = (1.0 + phase * overlap) * (overlap + phase.conjugate()) / 2.0
     else:
-        g = u[0].conjugate() * (rho0.rho00 * v[0] + rho0.rho01 * v[1]) + (
+        g = u[0] * (rho0.rho00 * v[0] + rho0.rho01 * v[1]) + (
             u[1].conjugate() * (rho0.rho10 * v[0] + rho0.rho11 * v[1])
         )
-    try:
-        trace_factor = abs(g) ** 2
-    except OverflowError:  # only an explicit rho0 has entries this large
+    trace_factor = g.real * g.real + g.imag * g.imag
+    if not trace_factor < math.inf:  # only an explicit rho0 has entries this large
         raise DomainError(
             "Tr(rho1 rho0 rho2 rho0) overflows a float: rho0's entries are too large"
-        ) from None
+        )
     if trace_factor <= INTERFERENCE_TOL:
         raise DegeneratePhaseStateError(
             "Tr(rho1 rho0 rho2 rho0) vanishes: the phase-defining projector "
             "is orthogonal to one of the input states"
         )
-    k = math.sqrt(lam1 * lam2) / abs(g)
+    k = math.sqrt(lam1 * lam2 / trace_factor)
 
     def entry(i: int, j: int) -> complex:
         """<i| lam1 rho1 + lam2 rho2 + k (g|1><2| + conj(g)|2><1|) |j>"""
@@ -306,7 +315,7 @@ def superpose_orthogonal(
     rho0: DensityMatrix2 | None = None,
 ) -> SuperpositionResult:
     """Projector addition rule; the normalization is the sum's trace."""
-    entries, trace, _ = _projector_sum(p, q, _front(p, q, w, "require")[0], rho0)
+    entries, trace, _ = _projector_sum(*_front(p, q, w, "require")[:3], rho0)
     return SuperpositionResult(_entries_to_prob(*entries), trace, "orthogonal_rule")
 
 
@@ -328,8 +337,7 @@ def delta_decomposition(
         raise DomainError(
             "delta is undefined for pure weights (lambda1 * lambda2 = 0)"
         )
-    _front(p, q, w, "require")
-    entries, _, trace_factor = _projector_sum(p, q, w, rho0)
+    entries, _, trace_factor = _projector_sum(*_front(p, q, w, "require")[:3], rho0)
     out = _entries_to_prob(*entries)
     linear = w.lambda1 * p.vec() + w.lambda2 * q.vec()
     delta = (out.vec() - linear) / math.sqrt(w.lambda1 * w.lambda2)
@@ -346,19 +354,20 @@ def superpose_spinor(
      e^{i*beta}*sqrt(Pi3*(1-p3)) + e^{i*(delta+mu)}*sqrt((1-Pi3)*(1-q3)))
     with beta, mu the phases of p and q and delta the weight phase.
     """
-    return _spinor(p, q, _front(p, q, w, "require")[0])
+    return _spinor(*_front(p, q, w, "require")[:3])
 
 
-def _spinor(p: ProbabilityTriple, q: ProbabilityTriple,
-            w: SuperpositionWeights) -> SuperpositionResult:
-    """superpose_spinor on inputs already checked pure and orthogonal."""
-    t = w.triple
-    beta, mu, delta, pi3 = coin_phase(p), coin_phase(q), coin_phase(t), t.p3
-    top = math.sqrt(pi3 * p.p3) + cmath.exp(1j * delta) * math.sqrt(q.p3 * (1.0 - pi3))
-    bottom = cmath.exp(1j * beta) * math.sqrt(pi3 * (1.0 - p.p3)) + cmath.exp(
-        1j * (delta + mu)) * math.sqrt((1.0 - pi3) * (1.0 - q.p3))
-    top2, bottom2 = abs(top) ** 2, abs(bottom) ** 2
-    # orthogonal inputs keep norm2 above about 1 - sqrt(ORTHO_TOL): never zero
+def _spinor(p: Canonical, q: Canonical, w: Canonical) -> SuperpositionResult:
+    """superpose_spinor on canonical inputs already checked orthogonal; the
+    phase factors e^{i*beta}, e^{i*mu} and e^{i*delta} are their unit vectors."""
+    (p3, _, _, beta), (q3, _, _, mu), (pi3, _, _, delta) = p, q, w
+    top = math.sqrt(pi3 * p3) + delta * math.sqrt(q3 * (1.0 - pi3))
+    bottom = beta * math.sqrt(pi3 * (1.0 - p3)) + delta * mu * math.sqrt(
+        (1.0 - pi3) * (1.0 - q3))
+    top2 = top.real * top.real + top.imag * top.imag
+    bottom2 = bottom.real * bottom.real + bottom.imag * bottom.imag
+    # orthogonal inputs keep norm2 = 1 + 2 Re(c1 c2 <psi1|psi2>) above
+    # 1 - ORTHO_TOL: never zero
     norm2 = top2 + bottom2
     state = _entries_to_prob(top2 / norm2, top * bottom.conjugate() / norm2,
                              bottom2 / norm2)
@@ -372,7 +381,7 @@ def superpose_checked(
     orthogonal and spinor paths only to orthogonal inputs) lies within
     PATH_AGREE_TOL of the oracle in each coin.  The front checks the inputs
     once and its verdict picks the paths, whose unchecked cores then run."""
-    w, orthogonal = _front(p, q, w, "test")
+    p, q, w, orthogonal = _front(p, q, w, "test")
     general = _general(p, q, w)
     ref = general.state if general.fallback_used else _oracle(p, q, w).state
     outs = [general.state]

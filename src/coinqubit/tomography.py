@@ -32,7 +32,7 @@ import operator
 import os
 import sys
 import threading
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .errors import InsufficientDataError
 from .states import (
@@ -247,22 +247,25 @@ def estimate(
     """Fold a flip stream into frequency estimates with standard errors.
     The seed the report records is None or an int, checked first.  Records
     are read lazily, by attribute, and folded one run of equal axes at a
-    time: ``groupby`` splits the runs and a ``Counter`` of the outcomes
-    counts each in C, with no Python frame per record; records in any
-    order give the same report, in shorter runs.  Each run's axis and
-    outcomes are checked as ``FlipRecord``'s constructor checks them, with
-    the same ValueError."""
+    time: ``groupby`` splits the runs, and ``list.count`` counts each
+    slice of at most ``_CHUNK`` outcomes in C, with no Python frame per
+    record; records in any order give the same report, in shorter runs.
+    Each run's axis and outcomes are checked as ``FlipRecord``'s
+    constructor checks them, with the same ValueError."""
     if seed is not None:
         seed = _int("seed", seed)
     ups = dict.fromkeys(AXES, 0)
     totals = dict.fromkeys(AXES, 0)
     for axis, run in itertools.groupby(flips, _AXIS_OF):
         _check_field("axis", axis, AXES)
-        faces = Counter(map(_OUTCOME_OF, run))
-        for outcome in faces:
-            _check_field("outcome", outcome, OUTCOMES)
-        totals[axis] += faces.total()
-        ups[axis] += faces["up"]
+        outcomes = map(_OUTCOME_OF, run)
+        while part := list(itertools.islice(outcomes, _CHUNK)):
+            up = part.count("up")
+            if up + part.count("down") < len(part):  # the first other one raises
+                for outcome in part:
+                    _check_field("outcome", outcome, OUTCOMES)
+            totals[axis] += len(part)
+            ups[axis] += up
     return _fold(ups.values(), totals.values(), seed)
 
 

@@ -306,7 +306,7 @@ TRANSCRIPT = json.loads((DATA_DIR / "cli_transcript.json").read_text(encoding="u
      for e in TRANSCRIPT],
     ids=[f"{i:02d}-{(e['argv'] or ['no-args'])[0]}" for i, e in enumerate(TRANSCRIPT)],
 )
-def test_golden_transcript(capsys, monkeypatch, tmp_path, entry):
+def test_golden_transcript(monkeypatch, tmp_path, entry):
     """Replay of the argvs in data/cli_transcript.json.
 
     An entry holds the argv, the input files to write, the environment, and
@@ -316,12 +316,20 @@ def test_golden_transcript(capsys, monkeypatch, tmp_path, entry):
     monkeypatch.delenv("COIN_QUBIT_SEED", raising=False)
     for name, value in entry.get("env", {}).items():
         monkeypatch.setenv(name, value)
+    assert _replay(entry, tmp_path) == (entry["exit"], entry["stdout"], entry["stderr"])
+
+
+def _replay(entry, directory):
+    """Exit code, stdout and stderr of an entry's argv, run in process with
+    its files written to `directory`, which reads "{dir}" in the streams."""
     for name, text in entry.get("files", {}).items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    argv = [arg.replace("{dir}", str(tmp_path)) for arg in entry["argv"]]
-    code, out, err = run_cli(capsys, *argv)
-    run = (code, out.replace(str(tmp_path), "{dir}"), err.replace(str(tmp_path), "{dir}"))
-    assert run == (entry["exit"], entry["stdout"], entry["stderr"])
+        (directory / name).write_text(text, encoding="utf-8")
+    argv = [arg.replace("{dir}", str(directory)) for arg in entry["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return (code, *(stream.getvalue().replace(str(directory), "{dir}")
+                    for stream in (out, err)))
 
 
 # --------------------------------------------------------------- CLI fuzzing
@@ -621,3 +629,20 @@ class TestFailingStreamsConsoleScript(TestFailingStreams):
     """The same cases through the body of the installed `coinqubit` script."""
 
     ENTRY = ["-c", "import sys; from coinqubit.cli import main; sys.exit(main())"]
+
+
+if __name__ == "__main__":
+    # Regenerate data/cli_transcript.json from its argvs, only when a change
+    # of output is intended:  PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    os.environ.pop("COIN_QUBIT_SEED", None)
+    for entry in TRANSCRIPT:
+        os.environ.update(entry.get("env", {}))
+        with tempfile.TemporaryDirectory() as name:
+            entry["exit"], entry["stdout"], entry["stderr"] = _replay(
+                entry, pathlib.Path(name))
+        for name in entry.get("env", {}):
+            del os.environ[name]
+    (DATA_DIR / "cli_transcript.json").write_text(
+        json.dumps(TRANSCRIPT, indent=1) + "\n", encoding="utf-8")

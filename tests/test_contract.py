@@ -56,16 +56,16 @@ TARGETS = (
 CSV_CASES = [(TARGETS[0], n) for n in SIZES] + [
     (p, n) for p in TARGETS[1:] for n in SIZES[:-1]]
 DIGESTS = {
-    601: "c4396943574debc019f096b8b09a0758da9efcfacb728d0a0c36498023368af4",
-    602: "2458d200cfccaab079321463a9355ddd84a71991ce71f7a35921b9a71156deed",
-    603: "4acdde66aed2764c6d698328655adcae09bcd6e77491f8c0b2352614da2c61ce",
-    604: "390d03f3c8d07c017ad617ad7a305fbd7c0df8e54c2713426f1ee0daf96ef28d",
-    605: "e7f0dc0a6cdfcca71f0b6db199051bde6a6edc8183fae8250c61331758867df4",
-    606: "3849fe6724e91e0486b44bf16535ccc76323e4a49d2e152d3ed50e1a4f87c888",
-    607: "4931c1e73ed003152ba142bfb3b9692ab853bdc5f83682f4bb801a100053e3a5",
-    608: "dbc655aac87d8cd94de64d9d62d99ee5de885e9dfb82c513fbc5146b1e9b9c07",
-    609: "405e5ee861137996d42682b339fe3a7c0d52901c095abfc28e8105080ed91603",
-    610: "f9860e4d677c3e636732f4dbeb797a090ed1a7a7a7c907140cde77a8fcee83b7",
+    601: "693ff0ef27a7dc95e9f8349fd49f7462f5251fd78440f06e2d51aa0117c4e117",
+    602: "fc666642935abbca985de4a11d035dae2ab6eeeb0baa93564a63e0775ec543f9",
+    603: "fe09cc9b1378081432639a7e573147c8eb75c74b3443a1c85b33f23fafab9d01",
+    604: "4426ac4c38e66c1b8682f46fc84bf5ce5c1a66b736490640061e4701fe84b717",
+    605: "2f2a38baf8f4188270e9c72954a94b63d9818555520616ee3b20c95b96c06f6d",
+    606: "8e8fff4fecf5a6180ebb69f9d1ca0f6d47133b9f08a78cffd4e3df39c66ec695",
+    607: "461250b11e081d4c9ea6a72e5bdc9d5636e92a9ecd84840971bf19fe977f87dc",
+    608: "1ce84725f396754fcd839c2e2326b31ab0f2ef681bd8021870870c2390dff6c3",
+    609: "7e9893377da49926ab41b9a3014d3c237616bbfc5725eca92b671beaa0f3a425",
+    610: "4a17513ce850ed158d762a8d77a2d806c72820f9d9d847916324b4e16c16248a",
     "run_experiment": "acd6825f5a444d0f7e91b737db2afd17d251ddf17f2a48b931ba056c05ede732",
     "sample_flips": "586cfcfc3616251556c9f59fd793b9be60e6fb38db2d58300073f4cc0be2bd62",
     "write_flips": "0bd74b5542d71ea28b7b1e225ed7e31e1910a04e67a2687945df6d5d9c08c31f",

@@ -142,6 +142,13 @@ class TestUncountableRecords:
             estimate([*self.VALID, *flips])
         assert str(info.value) == constructor_error("y", "UP")
 
+    def test_an_unhashable_outcome(self):
+        """A list is no outcome; estimate counts by equality, so it is the
+        constructor's ValueError, not a TypeError from hashing it."""
+        with pytest.raises(ValueError) as info:
+            estimate([SimpleNamespace(axis="x", outcome=["up"])])
+        assert str(info.value) == constructor_error("x", ["up"])
+
     def test_the_first_unknown_outcome_is_named(self):
         flips = [SimpleNamespace(axis="x", outcome=o) for o in ("up", "UP", "Down", "UP")]
         with pytest.raises(ValueError) as info:
@@ -178,11 +185,14 @@ class TestSampledStream:
         estimate(sample_flips(PURE_TARGET, 2 * _CHUNK + 1, 4))
         assert [value for name, value in checked if name == "axis"] == list(AXES)
 
-    def test_memory_does_not_grow_with_the_stream(self):
-        """The fold holds one chunk of records at a time, never the stream."""
+    def test_memory_does_not_grow_with_the_stream(self, monkeypatch):
+        """The fold holds one chunk of records at a time, never the stream;
+        a small chunk keeps the streams short (a fold that lists the stream
+        grows by about 2 MB here)."""
+        monkeypatch.setattr(tomography, "_CHUNK", 1024)
         estimate(sample_flips(PURE_TARGET, 10, 0))  # import numpy before tracing
         peaks = []
-        for n in (2 * _CHUNK, 8 * _CHUNK):
+        for n in (2 * 1024, 8 * 1024):
             tracemalloc.start()
             try:
                 estimate(sample_flips(PURE_TARGET, n, 6), seed=6)
