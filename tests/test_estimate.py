@@ -142,12 +142,14 @@ class TestUncountableRecords:
             estimate([*self.VALID, *flips])
         assert str(info.value) == constructor_error("y", "UP")
 
-    def test_an_unhashable_outcome(self):
-        """A list is no outcome; estimate counts by equality, so it is the
-        constructor's ValueError, not a TypeError from hashing it."""
+    @pytest.mark.parametrize("outcome", [["up"], {"up": 1}, {"up"}, bytearray(b"up")],
+                             ids=["list", "dict", "set", "bytearray"])
+    def test_an_unhashable_outcome(self, outcome):
+        """An unhashable value is no outcome; estimate counts by equality, so
+        it is the constructor's ValueError, not a TypeError from hashing it."""
         with pytest.raises(ValueError) as info:
-            estimate([SimpleNamespace(axis="x", outcome=["up"])])
-        assert str(info.value) == constructor_error("x", ["up"])
+            estimate([SimpleNamespace(axis="x", outcome=outcome)])
+        assert str(info.value) == constructor_error("x", outcome)
 
     def test_the_first_unknown_outcome_is_named(self):
         flips = [SimpleNamespace(axis="x", outcome=o) for o in ("up", "UP", "Down", "UP")]

@@ -17,6 +17,7 @@ No test here needs numpy.
 """
 
 import cmath
+import itertools
 import json
 import math
 import random
@@ -163,6 +164,19 @@ def test_quantum_mean_is_exact_to_a_few_ulps_of_its_terms(seed):
         assert error <= REL_BOUND * magnitude, (p, obs)
 
 
+@pytest.mark.parametrize("p", EDGES)
+def test_quantum_mean_is_exact_to_a_few_ulps_at_the_edges(p):
+    """Each pole, the centre and the states next to a pole, under every
+    observable with coefficients among 0, -1, 1e-3 and 1e3.  A product with
+    p3 = 5e-324 underflows, so each of the four terms may also err by the
+    least subnormal."""
+    p = ProbabilityTriple(*p)
+    for v in itertools.product((0.0, -1.0, 1e-3, 1e3), repeat=4):
+        exact, magnitude = exact_mean(CoinObservable(*v), p)
+        error = abs(Fraction(quantum_mean(CoinObservable(*v), p)) - exact)
+        assert error <= REL_BOUND * magnitude + 4 * Fraction(5e-324), v
+
+
 @pytest.mark.parametrize("seed", [1807])
 def test_quantum_mean_overflows_only_where_its_sum_does(seed):
     """Coefficients at and near the float maximum: quantum_mean is the
@@ -221,6 +235,7 @@ def _oracle_cases() -> list:
 
 COIN_BOUND = 2.0 ** -51  # measured 0.86 * 2**-52 over these cases
 NORM_BOUND = 2.0 ** -51  # relative; measured 1.96 * 2**-52
+NORM_ABS_BOUND = 2.0 ** -49  # absolute, on drawn kets; measured 3.45 * 2**-52
 
 
 def test_the_oracle_is_exact_to_an_ulp_or_two_on_its_kets():
@@ -302,3 +317,25 @@ def test_typed_inputs_keep_every_path_with_the_oracle(digits, p, q, w, pair):
     except CoinQubitError:
         return
     assert result.state.is_pure and agree
+
+
+@given(p=st.tuples(st.floats(0.0, 1.0), angle), q=st.tuples(st.floats(0.0, 1.0), angle),
+       w=st.tuples(st.floats(0.0, 1.0), angle), turn=st.sampled_from([None, 0.0, math.pi]))
+@settings(max_examples=600, deadline=None)
+def test_the_oracle_is_exact_to_an_ulp_or_two_on_drawn_kets(p, q, w, turn):
+    """Drawn pure triples, with q at p's p3 and p's phase turned by `turn`
+    where it is given, so that the norm can nearly vanish: the coins err by
+    at most COIN_BOUND / min(1, norm2), since they are quotients by the norm
+    (1.06 * 2**-52 at most over 1.2e5 draws), and the norm by NORM_ABS_BOUND."""
+    if turn is not None:
+        q = (p[0], p[1] + turn)
+    p, q, w = (golden._on_circle(*t) for t in (p, q, w))
+    try:
+        state = superpose_oracle(p, q, w)
+    except CoinQubitError:
+        return
+    coins, norm2 = exact_oracle(p, q, w)
+    worst = max(abs(Fraction(a) - b) for a, b in
+                zip((state.state.p1, state.state.p2, state.state.p3), coins))
+    assert worst * min(1, norm2) <= COIN_BOUND
+    assert abs(Fraction(state.normalization) - norm2) <= NORM_ABS_BOUND

@@ -103,6 +103,16 @@ class TestWeights:
         assert FIRST_ONLY.alpha == 0.0
         assert FIRST_ONLY.c2 == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.pi / 2.0, 2.5, math.pi, 4.0,
+                                       -math.pi / 2.0, 5.5])
+    def test_c2_reads_the_phase_of_the_triple(self, alpha):
+        """c2 comes from the triple's unit vector, not from exp(i alpha): the
+        same coefficient to a few ulps (4.3 at most over 1e5 phases)."""
+        for pi3 in (1e-9, 0.3, 0.5, 0.999, 1.0 - 1e-12):
+            w = weights_for_phase(alpha, pi3)
+            assert w.c1 == math.sqrt(pi3)
+            assert abs(w.c2 - math.sqrt(1.0 - pi3) * cmath.exp(1j * w.alpha)) <= 8 * 2.0 ** -52
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_weights_for_phase_rejects_a_non_finite_phase(self, alpha):
         with pytest.raises(DomainError, match=f"alpha must be finite, got {alpha!r}"):
@@ -144,6 +154,31 @@ class TestKet:
     @settings(max_examples=500, deadline=None)
     def test_matches_prob_to_spinor(self, p3, phi):
         self._assert_close(_on_circle(p3, phi))
+
+
+class TestCanonical:
+    @pytest.mark.parametrize("p, expected", [
+        ((1.0, 0.5, 0.5), (0.5, 0.5, 0.0, 1.0)), ((0.0, 0.5, 0.5), (0.5, -0.5, 0.0, -1.0)),
+        ((0.5, 1.0, 0.5), (0.5, 0.0, 0.5, 1j)), ((0.5, 0.0, 0.5), (0.5, 0.0, -0.5, -1j)),
+        ((0.5, 0.5, 1.0), (1.0, 0.0, 0.0, 1.0)), ((0.5, 0.5, 0.0), (0.0, 0.0, 0.0, 1.0)),
+    ])
+    def test_the_axis_states(self, p, expected):
+        assert superposition._canonical(ProbabilityTriple(*p)) == expected
+
+    @pytest.mark.parametrize("k", [9007, 9008])
+    @pytest.mark.parametrize("axis", [1, 1j, -1, -1j])
+    def test_the_pole_verdict_is_coin_phases(self, k, axis):
+        """(p1 - 1/2, p2 - 1/2) = k 2**-53 along an axis at the top pole:
+        9007 steps lie within POLE_TOL = 1e-12 and 9008 past it.  u is 1
+        exactly where states._at_pole says so, and e^{i coin_phase} elsewhere."""
+        e = k * 2.0 ** -53 * axis
+        p = ProbabilityTriple(0.5 + e.real, 0.5 + e.imag, 1.0)
+        u = superposition._canonical(p)[3]
+        if states._at_pole(p):
+            assert k == 9007 and u == 1.0 and states.coin_phase(p) == 0.0
+        else:
+            assert k == 9008 and u == axis
+            assert abs(cmath.exp(1j * states.coin_phase(p)) - u) <= 2 * 2.0 ** -52
 
 
 class TestOracle:
