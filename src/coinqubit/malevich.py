@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .states import SIDE_TOL, SPILL_TOL, ProbabilityTriple, _Frozen
+from .states import SIDE_TOL, SPILL_TOL, ProbabilityTriple, _Frozen, _real
 
 SIDE_MAX = math.sqrt(2.0)
 _SIDE_CAP = SIDE_MAX + SIDE_TOL  # the largest side a triada admits
@@ -36,10 +36,7 @@ _LABEL = ('<text x="%.3f" y="%.3f" text-anchor="middle" '
 
 def _side_length(value: float, name: str) -> float:
     """Validate a square side: a float in [0, SIDE_MAX + SIDE_TOL]."""
-    try:
-        value = float(value)
-    except OverflowError:  # an int too large for a float
-        raise DomainError(f"{name} overflows a float") from None
+    value = _real(value, name)
     if not 0.0 <= value <= _SIDE_CAP:
         raise DomainError(f"{name} must lie in [0, sqrt(2)], got {value!r}")
     return value

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .states import ProbabilityTriple, _Frozen, _number_field, _require_quantum
+from .states import ProbabilityTriple, _Frozen, _number_field, _real, _require_quantum
 
 # numpy is imported inside the functions that build arrays, so the
 # scalar API and the CLI start without loading it.
@@ -25,10 +25,7 @@ _INF, _NEG_INF = math.inf, -math.inf
 
 def _coefficient(value: float, name: str) -> float:
     """Validate an observable coefficient: a finite float."""
-    try:
-        value = float(value)
-    except OverflowError:  # an int too large for a float
-        raise DomainError(f"{name} overflows a float") from None
+    value = _real(value, name)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
@@ -81,11 +78,11 @@ def second_moments(
 ) -> tuple[float, float, float]:
     """Second moments; the x and y moments do not depend on the state.
     Coefficients whose squares overflow are a DomainError."""
-    try:
-        moment_z = (obs.z1 ** 2 - obs.z2 ** 2) * p.p3 + obs.z2 ** 2
-        return obs.x ** 2, obs.y ** 2, moment_z
-    except OverflowError as exc:
-        raise DomainError(f"a second moment of {obs!r} overflows") from exc
+    squares = obs.x * obs.x, obs.y * obs.y, obs.z1 * obs.z1, obs.z2 * obs.z2
+    if _INF in squares:  # a finite coefficient squares to inf past 1.34e154
+        raise DomainError(f"a second moment of {obs!r} overflows")
+    x2, y2, z1_2, z2_2 = squares
+    return x2, y2, (z1_2 - z2_2) * p.p3 + z2_2
 
 
 def quantum_mean(obs: CoinObservable, p: ProbabilityTriple) -> float:

@@ -40,12 +40,19 @@ INTERFERENCE_TOL = 1e-14  # lam1*lam2 and Tr(rho1 rho0 rho2 rho0), as zero
 TWO_PI = 2.0 * math.pi
 
 
+def _real(value, name: str, kind: type = float) -> float | complex:
+    """kind(value): a caller's number read into the field `name` as a float,
+    or a complex for kind=complex.  An int too large for a float is a
+    DomainError naming the field."""
+    try:
+        return kind(value)
+    except OverflowError:
+        raise DomainError(f"{name} overflows a float") from None
+
+
 def _unit_interval(value: float, name: str) -> float:
     """Validate a probability, absorbing floating spill up to SPILL_TOL."""
-    try:
-        value = float(value)
-    except OverflowError:  # an int too large for a float
-        raise DomainError(f"{name} overflows a float") from None
+    value = _real(value, name)
     if 0.0 <= value <= 1.0:  # nan and +-inf fail this and reach the checks below
         return value
     if not math.isfinite(value):
@@ -79,18 +86,6 @@ def _number_field(data: dict, name: str, kind: str) -> int | float:
             f"{kind} field {name!r} must be a number, got {type(value).__name__}"
         )
     return value
-
-
-def _overflow(names: tuple[str, ...], values: tuple) -> DomainError:
-    """The DomainError for the first of `values` that is an int too large
-    for a float, named by its entry in `names`: for a constructor whose
-    conversion of `values` raised OverflowError."""
-    for name, value in zip(names, values):
-        try:
-            complex(value)
-        except OverflowError:
-            break
-    return DomainError(f"{name} overflows a float")
 
 
 class _Frozen:
@@ -221,10 +216,8 @@ class DensityMatrix2(_Frozen):
     __slots__ = ("rho00", "rho01", "rho11")
 
     def __init__(self, rho00: float, rho01: complex, rho11: float) -> None:
-        try:
-            rho00, rho01, rho11 = float(rho00), complex(rho01), float(rho11)
-        except OverflowError:
-            raise _overflow(self._fields, (rho00, rho01, rho11)) from None
+        rho00, rho01, rho11 = map(_real, (rho00, rho01, rho11), self._fields,
+                                  (float, complex, float))
         _check_entries(rho00, rho01, rho11)
         set_rho00, set_rho01, set_rho11 = self._setters
         set_rho00(self, rho00)
@@ -237,7 +230,8 @@ class DensityMatrix2(_Frozen):
 
     @property
     def det(self) -> float:
-        return self.rho00 * self.rho11 - abs(self.rho01) ** 2
+        off = self.rho01
+        return self.rho00 * self.rho11 - (off.real * off.real + off.imag * off.imag)
 
     @property
     def is_nonnegative(self) -> bool:
@@ -281,10 +275,7 @@ class Spinor2(_Frozen):
     __slots__ = ("amplitude0", "amplitude1", "phase")
 
     def __init__(self, amplitude0: float, amplitude1: float, phase: float) -> None:
-        try:
-            a0, a1, phase = float(amplitude0), float(amplitude1), float(phase)
-        except OverflowError:
-            raise _overflow(self._fields, (amplitude0, amplitude1, phase)) from None
+        a0, a1, phase = map(_real, (amplitude0, amplitude1, phase), self._fields)
         if a0 < 0.0 or a1 < 0.0:
             raise DomainError("spinor amplitudes must be nonnegative")
         if not abs(a0 * a0 + a1 * a1 - 1.0) <= UNIT_TOL:
@@ -413,7 +404,8 @@ def prob_to_spinor(p: ProbabilityTriple) -> Spinor2:
 
 def spinor_to_prob(s: Spinor2) -> ProbabilityTriple:
     """Pure triple of a spinor; inverse of prob_to_spinor away from poles."""
-    return _pure_triple(s.amplitude0 ** 2, s.amplitude0 * s.amplitude1, s.phase)
+    a0 = s.amplitude0
+    return _pure_triple(a0 * a0, a0 * s.amplitude1, s.phase)
 
 
 def _pure_triple(p3: float, r: float, phase: float) -> ProbabilityTriple:
@@ -430,14 +422,12 @@ def complex_to_coins(z: complex) -> ProbabilityTriple:
     (p1-1/2)^2 + (p2-1/2)^2 = p3(1-p3); the phase is 0 where that triple
     sits at a pole (see coin_phase).
     """
+    z = _real(z, "z", complex)
     try:
-        z = complex(z)
-    except OverflowError:  # an int too large for a float
-        raise DomainError("z overflows a float") from None
-    try:
-        mag2 = abs(z) ** 2
-    except OverflowError:  # |z| or its square past the float maximum
-        mag2 = math.inf
+        m = abs(z)
+    except OverflowError:  # |z| past the float maximum
+        m = math.inf
+    mag2 = m * m
     if mag2 > 1.0 + SPILL_TOL:
         raise DomainError(f"|z| must be <= 1, got z = {z!r}")
     p3 = min(mag2, 1.0)

@@ -61,7 +61,13 @@ _OUTCOME_OF = operator.attrgetter("outcome")
 
 
 def _check_field(name: str, value, allowed: tuple[str, ...]) -> None:
-    """A ValueError naming the field `name` unless `value` is in `allowed`."""
+    """A ValueError naming the field `name` unless `value` is in `allowed`.
+    A value that is no str is refused before it is compared, so one whose
+    == gives no bool (a numpy array's) is refused by name too."""
+    if not isinstance(value, str):
+        raise ValueError(
+            f"{name} must be a str in {allowed}, got {type(value).__name__}"
+        )
     if value not in allowed:
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
@@ -251,7 +257,8 @@ def estimate(
     slice of at most ``_CHUNK`` outcomes in C, with no Python frame per
     record; records in any order give the same report, in shorter runs.
     Each run's axis and outcomes are checked as ``FlipRecord``'s
-    constructor checks them, with the same ValueError."""
+    constructor checks them, with the same ValueError, also where counting
+    a slice raises."""
     if seed is not None:
         seed = _int("seed", seed)
     ups = dict.fromkeys(AXES, 0)
@@ -260,8 +267,12 @@ def estimate(
         _check_field("axis", axis, AXES)
         outcomes = map(_OUTCOME_OF, run)
         while part := list(itertools.islice(outcomes, _CHUNK)):
-            up = part.count("up")
-            if up + part.count("down") < len(part):  # the first other one raises
+            try:
+                up = part.count("up")
+                counted = up + part.count("down") == len(part)
+            except Exception:  # an outcome whose == gives no bool
+                counted = False
+            if not counted:  # the first outcome of neither kind raises
                 for outcome in part:
                     _check_field("outcome", outcome, OUTCOMES)
             totals[axis] += len(part)

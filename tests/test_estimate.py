@@ -118,6 +118,19 @@ class TestFold:
         assert estimate([FlipRecord(a, "up", 0) for a in "xyz"], seed=7).seed == 7
 
 
+class _NoTruth:
+    def __bool__(self):
+        raise ValueError("no truth value")
+
+
+class _Ambiguous:
+    """A value whose == gives an object with no truth value, as a numpy
+    array's == does."""
+
+    def __eq__(self, other):
+        return _NoTruth()
+
+
 class TestUncountableRecords:
     """A record estimate cannot count is the ValueError FlipRecord's
     constructor raises for it (an unknown axis was once a bare KeyError, an
@@ -150,6 +163,18 @@ class TestUncountableRecords:
         with pytest.raises(ValueError) as info:
             estimate([SimpleNamespace(axis="x", outcome=outcome)])
         assert str(info.value) == constructor_error("x", outcome)
+
+    @pytest.mark.parametrize("field", ["axis", "outcome"])
+    def test_a_value_whose_equality_has_no_truth_value(self, field):
+        """Such a value (a numpy array of two strings is one) is refused by
+        name, by estimate and by the constructor, before == is asked of it."""
+        fields = {"axis": "x", "outcome": "up", field: _Ambiguous()}
+        with pytest.raises(ValueError, match=f"^{field} must be a str in "):
+            FlipRecord(fields["axis"], fields["outcome"], 0)
+        if field == "outcome":
+            with pytest.raises(ValueError) as info:
+                estimate([*self.VALID, SimpleNamespace(**fields)])
+            assert str(info.value) == constructor_error("x", _Ambiguous())
 
     def test_the_first_unknown_outcome_is_named(self):
         flips = [SimpleNamespace(axis="x", outcome=o) for o in ("up", "UP", "Down", "UP")]

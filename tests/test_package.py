@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinqubit import (
@@ -182,7 +182,8 @@ def _unit_fields(*values):
 
 def _radius2(*values):
     p = ProbabilityTriple(*values)
-    return p.radius2, (p.p1 - 0.5) ** 2 + (p.p2 - 0.5) ** 2 + (p.p3 - 0.5) ** 2
+    d1, d2, d3 = p.p1 - 0.5, p.p2 - 0.5, p.p3 - 0.5
+    return p.radius2, d1 * d1 + d2 * d2 + d3 * d3
 
 
 _EDGES = [-0.0, 0.0, 1.0, math.nan, math.inf, -math.inf, math.nextafter(0.0, 1.0),
@@ -196,10 +197,12 @@ FIELDS = st.one_of(FLOATS, FLOATS.map(_Float), st.booleans(), st.integers(-3, 3)
 
 
 @given(st.tuples(FIELDS, FIELDS, FIELDS))
+@example((0.5, 0.5, 0.2643334679295621))  # a radius2 where ** 2 and * round apart
 @settings(max_examples=1000, deadline=None)
 def test_a_triple_holds_what_the_per_field_check_returns(values):
     """Bit for bit, or the same error: the one-comparison path for three
-    floats in [0, 1] and the per-field path for every other input."""
+    floats in [0, 1] and the per-field path for every other input; the
+    stored radius2 is the sum of the three products."""
     assert _outcome(_triple_fields, values) == _outcome(_unit_fields, values)
     built = _outcome(_radius2, values)
     if isinstance(built, list):  # no error: the stored radius2 is the formula's
@@ -339,7 +342,8 @@ def test_the_kernels_build_no_matrix(monkeypatch):
 
 def test_radius2_is_stored_but_no_field():
     p = ProbabilityTriple(0.3, 0.7, 0.5)
-    assert p.radius2 == (0.3 - 0.5) ** 2 + (0.7 - 0.5) ** 2 + (0.5 - 0.5) ** 2
+    d1, d2, d3 = 0.3 - 0.5, 0.7 - 0.5, 0.5 - 0.5
+    assert _bits(p.radius2) == _bits(d1 * d1 + d2 * d2 + d3 * d3)
     for change in (lambda: setattr(p, "radius2", 0.25), lambda: delattr(p, "radius2")):
         with pytest.raises(AttributeError, match="radius2"):
             change()
@@ -378,11 +382,22 @@ _NEGATIVE_LONG = "got a negative int of 5001 digits"
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda: ProbabilityTriple(HUGE, 0.5, 0.5), DomainError, f"p1 {_BIG}"),
+    (lambda: ProbabilityTriple(0.5, HUGE, 0.5), DomainError, f"p2 {_BIG}"),
+    (lambda: ProbabilityTriple(0.5, 0.5, HUGE), DomainError, f"p3 {_BIG}"),
     (lambda: DensityMatrix2(HUGE, 0, 0.5), DomainError, f"rho00 {_BIG}"),
     (lambda: DensityMatrix2(0.5, HUGE, 0.5), DomainError, f"rho01 {_BIG}"),
+    (lambda: DensityMatrix2(0.5, 0, HUGE), DomainError, f"rho11 {_BIG}"),
+    (lambda: DensityMatrix2(HUGE, HUGE, 0.5), DomainError, f"rho00 {_BIG}"),
+    (lambda: Spinor2(HUGE, 0, 0), DomainError, f"amplitude0 {_BIG}"),
     (lambda: Spinor2(1, HUGE, 0), DomainError, f"amplitude1 {_BIG}"),
     (lambda: Spinor2(1, 0, HUGE), DomainError, f"phase {_BIG}"),
+    (lambda: Spinor2(HUGE, HUGE, 0), DomainError, f"amplitude0 {_BIG}"),
+    (lambda: CoinObservable(HUGE, 0, 0, 0), DomainError, f"x {_BIG}"),
     (lambda: CoinObservable(0, HUGE, 0, 0), DomainError, f"y {_BIG}"),
+    (lambda: CoinObservable(0, 0, HUGE, 0), DomainError, f"z1 {_BIG}"),
+    (lambda: CoinObservable(0, 0, 0, HUGE), DomainError, f"z2 {_BIG}"),
+    (lambda: MalevichTriada(HUGE, 1, 1), DomainError, f"L1 {_BIG}"),
+    (lambda: MalevichTriada(1, HUGE, 1), DomainError, f"L2 {_BIG}"),
     (lambda: MalevichTriada(1, 1, HUGE), DomainError, f"L3 {_BIG}"),
     (lambda: complex_to_coins(HUGE), DomainError, f"z {_BIG}"),
     (lambda: weights_for_phase(HUGE), DomainError, f"alpha {_BIG}"),
@@ -396,8 +411,10 @@ _NEGATIVE_LONG = "got a negative int of 5001 digits"
      f"n_per_axis must be at least 1, {_NEGATIVE_LONG}"),
     (lambda: run_experiment(ProbabilityTriple(*_PLUS), 10, -LONG), ValueError,
      f"seed must be at least 0, {_NEGATIVE_LONG}"),
-], ids=["triple", "rho00", "rho01", "amplitude", "phase", "observable", "triada",
-        "complex", "alpha", "scale", "pi3", "sign", "trial", "n_per_axis", "seed"])
+], ids=["triple", "p2", "p3", "rho00", "rho01", "rho11", "rho00-and-rho01",
+        "amplitude0", "amplitude", "phase", "amplitude0-and-amplitude1", "x",
+        "observable", "z1", "z2", "L1", "L2", "triada", "complex", "alpha", "scale",
+        "pi3", "sign", "trial", "n_per_axis", "seed"])
 def test_an_int_too_large_for_a_float_is_a_typed_error(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
