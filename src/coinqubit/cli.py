@@ -121,19 +121,19 @@ def _complex_json(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def _matrix_json(rho) -> dict:
-    return {
+def _density_json(rho) -> dict:
+    matrix = {
         "rho00": rho.rho00,
         "rho01": _complex_json(rho.rho01),
         "rho10": _complex_json(rho.rho10),
         "rho11": rho.rho11,
     }
+    return {"matrix": matrix, "nonnegative": rho.is_nonnegative}
 
 
 def _convert(args, p) -> dict:
     if args.to == "density":
-        rho = prob_to_density(p)
-        return {"matrix": _matrix_json(rho), "nonnegative": rho.is_nonnegative}
+        return _density_json(prob_to_density(p))
     if args.to == "spinor":
         s = prob_to_spinor(p)
         return {
@@ -219,11 +219,7 @@ def _sample(args, p) -> dict:
         "counts": dict(zip(AXES, report.counts)),
         "std_errors": dict(zip(AXES, report.std_errors)),
         "seed": report.seed,
-        "reconstruction": {
-            "matrix": _matrix_json(rho),
-            "nonnegative": rho.is_nonnegative,
-            "class": verdict,
-        },
+        "reconstruction": {**_density_json(rho), "class": verdict},
     }
 
 

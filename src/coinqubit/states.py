@@ -42,8 +42,11 @@ TWO_PI = 2.0 * math.pi
 
 def _real(value, name: str, kind: type = float) -> float | complex:
     """kind(value): a caller's number read into the field `name` as a float,
-    or a complex for kind=complex.  An int too large for a float is a
-    DomainError naming the field."""
+    or a complex for kind=complex.  Text (str, bytes, bytearray), which
+    float() and complex() would parse, is a TypeError, and an int too large
+    for a float a DomainError, each naming the field."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
     try:
         return kind(value)
     except OverflowError:
@@ -238,9 +241,9 @@ class DensityMatrix2(_Frozen):
         return self.det >= -SPILL_TOL
 
     def eigenvalues(self) -> tuple[float, float]:
-        """Closed-form eigenvalues, descending."""
-        disc = max(1.0 - 4.0 * self.det, 0.0)
-        half = 0.5 * math.sqrt(disc)
+        """Closed-form eigenvalues 1/2 +- |Bloch vector|, descending."""
+        off = self.rho01
+        half = math.hypot(0.5 * (self.rho00 - self.rho11), off.real, off.imag)
         return 0.5 + half, 0.5 - half
 
     def as_array(self) -> np.ndarray:
@@ -307,10 +310,10 @@ def _check_entries(rho00: float, rho01: complex, rho11: float) -> None:
 
 
 def _entries_to_prob(rho00: float, rho01: complex, rho11: float) -> ProbabilityTriple:
-    """density_to_prob(DensityMatrix2(rho00, rho01, rho11)) for a float rho00
-    and rho11 and a complex rho01, with no matrix built: the constructor's
-    checks, with its errors and messages, then the same triple, bit for bit.
-    The kernels that compute a state's entries return it through this."""
+    """The coin triple of the entries rho00, rho11 (floats) and rho01
+    (complex), checked as DensityMatrix2 checks them, with its errors and
+    messages.  The kernels that compute a state's entries return it through
+    this, with no matrix built."""
     _check_entries(rho00, rho01, rho11)
     return ProbabilityTriple(0.5 + rho01.real, 0.5 - rho01.imag, rho00)
 
@@ -328,9 +331,7 @@ def prob_to_density(p: ProbabilityTriple) -> DensityMatrix2:
 
 def density_to_prob(rho: DensityMatrix2) -> ProbabilityTriple:
     """Inverse of prob_to_density; exact round-trip."""
-    return ProbabilityTriple(
-        0.5 + rho.rho01.real, 0.5 - rho.rho01.imag, rho.rho00
-    )
+    return _entries_to_prob(rho.rho00, rho.rho01, rho.rho11)
 
 
 def is_quantum(p: ProbabilityTriple) -> tuple[str, float]:

@@ -45,6 +45,7 @@ from .states import (
     _at_pole,
     _entries_to_prob,
     _pure_triple,
+    _real,
     _require_pure,
     _shown,
     coin_phase,
@@ -448,11 +449,8 @@ def weights_for_phase(alpha: float, pi3: float = 0.5) -> SuperpositionWeights:
     """Pure weight triple with weight Pi3 and relative phase alpha."""
     if not 0.0 <= pi3 <= 1.0:
         raise DomainError(f"Pi3 must lie in [0, 1], got {_shown(pi3)}")
-    try:
-        finite = math.isfinite(alpha)
-    except OverflowError:  # an int too large for a float
-        raise DomainError("alpha overflows a float") from None
-    if not finite:
+    alpha = _real(alpha, "alpha")
+    if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     r = math.sqrt(pi3 * (1.0 - pi3))
     return SuperpositionWeights(_pure_triple(pi3, r, alpha))

@@ -13,6 +13,9 @@ on its own kets, which need only square roots and ``math.hypot``; no kernel
 reaches libm's trigonometry.  A property over typed-in pure triples holds
 every path to the oracle within PATH_AGREE_TOL wherever it succeeds.
 
+A density matrix's eigenvalues are held to 1/2 +- sqrt(radius2) of its
+triple, also next to the centre, where 1 - 4 det cancels.
+
 No test here needs numpy.
 """
 
@@ -31,10 +34,12 @@ import test_kernels_golden as golden
 from coinqubit import (
     CoinObservable,
     CoinQubitError,
+    DensityMatrix2,
     DomainError,
     ProbabilityTriple,
     fidelity,
     is_quantum,
+    prob_to_density,
     purity,
     quantum_mean,
     superpose_checked,
@@ -153,6 +158,35 @@ def test_fidelity_is_exact_to_a_few_ulps():
     pairs += [(p, q) for p in STATES[:len(EDGES)] for q in STATES[:len(EDGES)]]
     worst = max(abs(Fraction(fidelity(p, q)) - exact_fidelity(p, q)) for p, q in pairs)
     assert worst <= ABS_BOUND, float(worst) / 2.0**-52
+
+
+def _centre(r: random.Random) -> tuple:
+    return tuple(0.5 + r.uniform(-1e-6, 1e-6) for _ in range(3))
+
+
+def spectrum_states(seed: int, count: int) -> list:
+    """Triples inside the ball, every other one with each coin within 1e-6
+    of 1/2, then the edges."""
+    r = random.Random(seed)
+    drawn = [(_centre if i % 2 else _inside)(r) for i in range(count)]
+    return [ProbabilityTriple(*p) for p in drawn + EDGES]
+
+
+def test_the_spectrum_is_one_half_plus_or_minus_the_radius():
+    """Over these draws the worst gap is 2**-52 away from the centre and
+    2**-53 next to it, where 1/2 +- sqrt(1 - 4 det) / 2 was off by
+    1.75 * 2**-52 and 1.4e-10."""
+    for p in spectrum_states(1833, 10000):
+        high, low = prob_to_density(p).eigenvalues()
+        half = math.sqrt(p.radius2)
+        assert abs(high - (0.5 + half)) <= 2.0**-52, p
+        assert abs(low - (0.5 - half)) <= 2.0**-52, p
+
+
+def test_the_spectrum_of_a_huge_off_diagonal_is_finite():
+    high, low = DensityMatrix2(0.5, 1e200 + 1e200j, 0.5).eigenvalues()
+    assert math.isclose(high, math.sqrt(2.0) * 1e200, rel_tol=2.0**-52)
+    assert low == -high
 
 
 @pytest.mark.parametrize("seed", [1805, 1806])

@@ -420,6 +420,23 @@ def test_an_int_too_large_for_a_float_is_a_typed_error(make, error, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ProbabilityTriple("0.5", 0.5, 0.5), "p1 must be a number, got str"),
+    (lambda: DensityMatrix2(0.5, "0.1+0.2j", 0.5), "rho01 must be a number, got str"),
+    (lambda: Spinor2(b"1", 0, 0), "amplitude0 must be a number, got bytes"),
+    (lambda: MalevichTriada(1.0, bytearray(b"0.5"), 1.0),
+     "L2 must be a number, got bytearray"),
+    (lambda: CoinObservable(1, 2, 3, "4"), "z2 must be a number, got str"),
+    (lambda: complex_to_coins("0.5"), "z must be a number, got str"),
+    (lambda: weights_for_phase("0.5"), "alpha must be a number, got str"),
+], ids=["p1", "rho01", "amplitude0", "L2", "z2", "z", "alpha"])
+def test_text_is_not_a_number(make, message):
+    """float() and complex() parse text; a field read through states._real
+    refuses it, as the JSON reader refuses a text field."""
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 @pytest.mark.parametrize("value, text", [
     (10 ** 4300 - 1, "9" * 4300), (10 ** 4300, "an int of 4301 digits"),
     (10 ** 4301 - 1, "an int of 4301 digits"), (10 ** 9999 - 1, "an int of 9999 digits"),

@@ -31,6 +31,7 @@ from coinqubit import (
 from coinqubit.cli import main
 from coinqubit.states import BALL_TOL, POLE_TOL, SPILL_TOL, _unit_interval
 from conftest import random_pure, random_quantum, random_valid
+from test_exact_reference import spectrum_states
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -169,6 +170,13 @@ class TestClassification:
                 assert low >= -1e-9
             else:
                 assert low < 1e-9
+
+    @pytest.mark.needs_numpy
+    def test_eigenvalues_match_numpy(self):
+        for p in spectrum_states(1833, 10000):
+            rho = prob_to_density(p)
+            low, high = np.linalg.eigvalsh(rho.as_array())
+            assert rho.eigenvalues() == pytest.approx((high, low), rel=0, abs=8 * 2.0**-52)
 
 
 class TestDensityBijection:
